@@ -10,16 +10,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import detect as _detect
-from .experiments import ExperimentConfig, run_scenario, write_report
-from .forest import (extract_features, load_model, predict, save_model,
-                     train_forest, Dataset)
+from .experiments import (ExperimentConfig, _child_seed, _class_ids,
+                          _render_class_traces, _training_features,
+                          run_scenario, write_report)
+from .forest import (Dataset, _predict_labels, load_model, save_model,
+                     train_forest)
 from .metrics import evaluate, format_report_text
-from .motion import MotionThresholds
-from .preprocess import augment_with_inverse, preprocess_recording
-from .simulate import load_device_profile
+from .preprocess import preprocess_recording
+from .simulate import load_device_profile, load_motion_script, render_recording
 from .traces import load_recordings, save_recordings
 
 
@@ -40,7 +42,6 @@ def _load_config(path: str, seed: int | None, profile_path: str | None,
         obj["seed"] = seed
     cfg = ExperimentConfig.from_dict(obj)
     if profile_path:
-        from dataclasses import replace
         cfg = replace(cfg, device_profiles=(load_device_profile(profile_path),))
     return cfg
 
@@ -49,8 +50,6 @@ def _cmd_simulate(args) -> int:
     if not args.out:
         raise ValueError("simulate requires --out")
     cfg = _load_config(args.config, args.seed, args.device_profile)
-    from .experiments import _class_ids, _render_class_traces
-    from .simulate import load_motion_script, render_recording
     profiles = cfg.resolved_profiles()
     class_ids = _class_ids("class", cfg.class_count)
     recordings, _, patterns, labels, profile_ids = _render_class_traces(
@@ -59,7 +58,8 @@ def _cmd_simulate(args) -> int:
         script = load_motion_script(args.motion_script)
         recordings = [
             render_recording(pattern, profiles[p_idx], motion=script,
-                             seed=i, device_id=f"device-{p_idx}", label=label)
+                             seed=_child_seed(cfg.seed, "motion-script", i),
+                             device_id=f"device-{p_idx}", label=label)
             for i, (pattern, label, p_idx)
             in enumerate(zip(patterns, labels, profile_ids))
         ]
@@ -70,12 +70,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _preprocessed_dataset(recordings, rate, bin_count):
-    traces = [(preprocess_recording(rec, rate), rec.label) for rec in recordings]
-    bins = min(bin_count, min(len(t) for t, _ in traces))
-    return traces, bins
-
-
 def _cmd_train(args) -> int:
     if not args.out:
         raise ValueError("train requires --out")
@@ -83,19 +77,16 @@ def _cmd_train(args) -> int:
     if any(rec.label is None for rec in recordings):
         raise ValueError("training recordings must all carry labels")
     cfg = _load_config(args.config, args.seed, None)
-    traces, bins = _preprocessed_dataset(recordings, args.rate, cfg.bin_count)
-    pairs = []
-    for trace, label in traces:
-        original, inverse = augment_with_inverse(trace)
-        pairs.append((extract_features(original, bins, label), label))
-        pairs.append((extract_features(inverse, bins, label), label))
-    dataset = Dataset.from_pairs(pairs)
+    traces = [preprocess_recording(rec, args.rate) for rec in recordings]
+    labels = [rec.label for rec in recordings]
+    bins = min(cfg.bin_count, min(len(t) for t in traces))
+    dataset = Dataset.from_pairs(_training_features(traces, labels, bins))
     model = train_forest(dataset, cfg.forest, threads=args.threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.json")
     by_label: dict[str, list] = {}
-    for trace, label in traces:
+    for trace, label in zip(traces, labels):
         by_label.setdefault(label, []).append(trace)
     for label, group in sorted(by_label.items()):
         pattern = _detect.average_pattern(group, label)
@@ -107,17 +98,17 @@ def _cmd_train(args) -> int:
 def _cmd_classify(args) -> int:
     model = load_model(args.model)
     recordings = load_recordings(args.data)
+    traces = [preprocess_recording(rec, args.rate) for rec in recordings]
+    predicted, probability = (_predict_labels(model, traces, model.n_features)
+                              if traces else ([], []))
     lines = []
     pairs = []
-    for rec in recordings:
-        trace = preprocess_recording(rec, args.rate)
-        features = extract_features(trace, model.n_features)
-        label, probs = predict(model, features)
+    for rec, label, prob in zip(recordings, predicted, probability):
         lines.append(json.dumps({
             "device_id": rec.device_id,
             "label": rec.label,
             "predicted": label,
-            "probability": probs[label],
+            "probability": prob,
         }, separators=(",", ":")))
         if rec.label is not None:
             pairs.append((rec.label, label))
@@ -147,11 +138,11 @@ def _cmd_detect(args) -> int:
     for rec in recordings:
         stream = preprocess_recording(rec)
         rate = stream.rate_hz
+        series = _detect.cross_correlate(stream, pattern)
         if model is not None:
-            detections = _detect.detect_and_classify(stream, pattern, thresholds,
+            detections = _detect.detect_and_classify(stream, series, thresholds,
                                                      model, args.window_s)
         else:
-            series = _detect.cross_correlate(stream, pattern)
             detections = [
                 _detect.Detection(k, float(series.values[k]))
                 for k in _detect.find_peaks(series, thresholds)
@@ -191,16 +182,11 @@ def _cmd_detect(args) -> int:
 
 def _cmd_eval(args, scenario: str | None = None) -> int:
     cfg = _load_config(args.config, args.seed, args.device_profile, scenario)
-    if getattr(args, "motion_mean_threshold", None) is not None or \
-            getattr(args, "motion_max_threshold", None) is not None:
-        from dataclasses import replace
-        thresholds = MotionThresholds(
-            args.motion_mean_threshold
-            if args.motion_mean_threshold is not None
-            else cfg.motion_thresholds.mean_threshold,
-            args.motion_max_threshold
-            if args.motion_max_threshold is not None
-            else cfg.motion_thresholds.max_threshold)
+    overrides = {"mean_threshold": getattr(args, "motion_mean_threshold", None),
+                 "max_threshold": getattr(args, "motion_max_threshold", None)}
+    overrides = {name: v for name, v in overrides.items() if v is not None}
+    if overrides:
+        thresholds = replace(cfg.motion_thresholds, **overrides)
         cfg = replace(cfg, motion_thresholds=thresholds)
     payload, text = run_scenario(cfg, threads=args.threads)
     if args.out:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .forest import ForestModel, extract_features, predict
+from .forest import ForestModel, _predict_labels
 from .metrics import ConfusionCounts
 from .preprocess import _round_half_up, normalize_unit_range
 from .traces import Trace1D
@@ -199,29 +199,32 @@ def find_peaks(series: CorrelationSeries, thresholds: PeakThresholds) -> list[in
     return accepted
 
 
-def detect_and_classify(stream: Trace1D, pattern: ActivityPattern,
+def detect_and_classify(stream: Trace1D, series: CorrelationSeries,
                         thresholds: PeakThresholds, model: ForestModel,
                         window_s: float = 12.0) -> list[Detection]:
-    """Scan a stream, then classify a window cut at each accepted peak.
+    """Find peaks in a stream's correlation series, then classify a window at each.
 
-    Windows are normalized and featurized with the model's feature count;
-    windows extending past the stream end are dropped.
+    ``series`` is ``cross_correlate(stream, pattern)``, computed once by the
+    caller (who usually also derives ``thresholds`` from it). A window of
+    ``window_s`` seconds is cut at each accepted peak, normalized, and
+    featurized with the model's feature count; all windows are classified
+    in one batch. Windows extending past the stream end are dropped.
     """
+    if series.rate_hz != stream.rate_hz:
+        raise ValueError("series and stream rates differ")
+    if len(series) > len(stream):
+        raise ValueError("series is longer than the stream")
     window = _round_half_up(window_s * stream.rate_hz)
-    series = cross_correlate(stream, pattern)
-    detections = []
-    for k in find_peaks(series, thresholds):
-        if k + window > len(stream):
-            continue
-        segment = Trace1D(stream.values[k:k + window], stream.rate_hz,
-                          normalized=False)
-        features = extract_features(normalize_unit_range(segment),
-                                    bin_count=model.n_features)
-        label, _ = predict(model, features)
-        detections.append(Detection(time_index=int(k),
-                                    score=float(series.values[k]),
-                                    predicted_label=label))
-    return detections
+    peaks = [k for k in find_peaks(series, thresholds) if k + window <= len(stream)]
+    if not peaks:
+        return []
+    windows = [normalize_unit_range(Trace1D(stream.values[k:k + window],
+                                            stream.rate_hz, normalized=False))
+               for k in peaks]
+    labels, _ = _predict_labels(model, windows, model.n_features)
+    return [Detection(time_index=int(k), score=float(series.values[k]),
+                      predicted_label=label)
+            for k, label in zip(peaks, labels)]
 
 
 def match_detections(detections, truth, tolerance_s: float,

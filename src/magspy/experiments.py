@@ -5,30 +5,56 @@ sampling-rate sweep, continuous-stream target detection, movement
 robustness, and device SNR calibration. Every run is a pure function of its
 configuration (including the seed), so reports are byte-identical across
 repeats and thread counts.
+
+The classification scenarios share one staged pipeline: render labeled
+recordings (``_render_class_traces``), split them (``_split``), fit a forest
+on inverse-augmented training rows (``_fit``), and classify held-out traces
+in one batch (``forest._predict_labels``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import detect as _detect
-from .forest import (DEFAULT_BIN_COUNT, Dataset, ForestConfig,
+from .forest import (DEFAULT_BIN_COUNT, Dataset, ForestConfig, _predict_labels,
                      cross_validate_grid, default_config_grid, extract_features,
-                     predict_many, split_dataset, train_forest)
+                     split_dataset, train_forest)
 from .metrics import EvalReport, evaluate, format_report_text
 from .motion import MotionThresholds, filter_dataset
 from .preprocess import augment_with_inverse, preprocess_recording
-from .simulate import (DeviceProfile, _stable_seed, make_class_signature,
-                       pattern_correlation, perturb_pattern, profile_for_snr,
+from .simulate import (DeviceProfile, _stable_seed, estimate_snr,
+                       make_class_signature, pattern_correlation,
+                       perturb_pattern, profile_for_snr, profile_from_dict,
                        random_motion_script, render_recording,
-                       synth_square_pattern, estimate_snr)
+                       synth_square_pattern)
 from .traces import UNMONITORED_LABEL, CpuPattern, SensorRecording, Trace1D
 
-_SCENARIOS = ("closed-world", "open-world", "sweep", "continuous", "movement", "snr")
+# Config fields read from nested JSON documents, as (value, seed) -> field
+# value. An empty or null document keeps the field's default.
+_NESTED_FIELDS = {
+    "device_profiles": lambda value, seed: tuple(profile_from_dict(p) for p in value),
+    "forest": lambda value, seed: ForestConfig.from_dict(value),
+    "grid": lambda value, seed: (
+        default_config_grid(seed) if value == "default"
+        else tuple(ForestConfig.from_dict(c) for c in value)),
+    "motion_thresholds": lambda value, seed: MotionThresholds(**value),
+}
+
+
+def _plain(value):
+    """JSON-ready copy of a config value: dataclasses become dicts, sequences lists."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
 
 
 @dataclass(frozen=True)
@@ -107,87 +133,26 @@ class ExperimentConfig:
                                 rate_hz=self.rate_hz),)
 
     def to_dict(self) -> dict:
-        profiles = [
-            {
-                "baseline_field": p.baseline_field.tolist(),
-                "coupling_dir": p.coupling_dir.tolist(),
-                "gain": p.gain,
-                "noise_std": p.noise_std,
-                "rate_hz": p.rate_hz,
-                "gyro_noise_std": p.gyro_noise_std,
-            }
-            for p in self.resolved_profiles()
-        ]
-        return {
-            "scenario": self.scenario,
-            "class_count": self.class_count,
-            "traces_per_class": self.traces_per_class,
-            "duration_s": self.duration_s,
-            "rate_hz": self.rate_hz,
-            "seed": self.seed,
-            "snr_db": self.snr_db,
-            "noise_std": self.noise_std,
-            "device_profiles": profiles,
-            "train_fraction": self.train_fraction,
-            "bin_count": self.bin_count,
-            "forest": self.forest.to_dict(),
-            "grid": [c.to_dict() for c in self.grid] if self.grid else None,
-            "cv_folds": self.cv_folds,
-            "start_jitter_s": self.start_jitter_s,
-            "time_warp": self.time_warp,
-            "level_jitter": self.level_jitter,
-            "background_drift": self.background_drift,
-            "monitored_count": self.monitored_count,
-            "unmonitored_train_count": self.unmonitored_train_count,
-            "background_count": self.background_count,
-            "background_traces_each": self.background_traces_each,
-            "rates": list(self.rates),
-            "stream_count": self.stream_count,
-            "stream_s": self.stream_s,
-            "window_s": self.window_s,
-            "tolerance_s": self.tolerance_s,
-            "distractor_count": self.distractor_count,
-            "height_sigma": self.height_sigma,
-            "prominence_sigma": self.prominence_sigma,
-            "min_width_s": self.min_width_s,
-            "motion_fraction": self.motion_fraction,
-            "motion_peak_rate": self.motion_peak_rate,
-            "motion_thresholds": {
-                "mean_threshold": self.motion_thresholds.mean_threshold,
-                "max_threshold": self.motion_thresholds.max_threshold,
-            },
-            "gains": list(self.gains),
-            "calibration_cycles": self.calibration_cycles,
-        }
+        """Every field in JSON form; ``device_profiles`` lists the resolved profiles."""
+        return {**_plain(self),
+                "device_profiles": _plain(self.resolved_profiles()),
+                "grid": _plain(self.grid) or None}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        obj = dict(obj)
-        known = set(cls().to_dict()) | {"device_profiles"}
-        unknown = set(obj) - known
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        from .simulate import profile_from_dict
-        if obj.get("device_profiles"):
-            obj["device_profiles"] = tuple(profile_from_dict(p)
-                                           for p in obj["device_profiles"])
-        else:
-            obj.pop("device_profiles", None)
-        if "forest" in obj and obj["forest"] is not None:
-            obj["forest"] = ForestConfig.from_dict(obj["forest"])
-        grid = obj.get("grid")
-        if grid == "default":
-            obj["grid"] = default_config_grid(obj.get("seed", 0))
-        elif grid:
-            obj["grid"] = tuple(ForestConfig.from_dict(c) for c in grid)
-        elif "grid" in obj:
-            obj["grid"] = None
-        if "motion_thresholds" in obj and obj["motion_thresholds"] is not None:
-            obj["motion_thresholds"] = MotionThresholds(**obj["motion_thresholds"])
-        for name in ("rates", "gains"):
-            if name in obj:
-                obj[name] = tuple(obj[name])
-        return cls(**obj)
+        kwargs = {}
+        for name, value in obj.items():
+            if name in _NESTED_FIELDS:
+                if value:
+                    kwargs[name] = _NESTED_FIELDS[name](value, obj.get("seed", 0))
+            elif name in ("rates", "gains"):
+                kwargs[name] = tuple(value)
+            else:
+                kwargs[name] = value
+        return cls(**kwargs)
 
 
 def _child_seed(root: int, *parts) -> int:
@@ -229,23 +194,58 @@ def _render_class_traces(cfg: ExperimentConfig, class_ids, traces_per_class: int
     return recordings, traces, patterns, labels, profile_ids
 
 
-def _training_features(traces, items, bin_count: int) -> list:
-    """Augmented training features: each trace contributes itself and its inverse."""
+# ---------------------------------------------------------------------------
+# Pipeline stages shared by the scenario runners and the CLI
+# ---------------------------------------------------------------------------
+
+def _split(cfg: ExperimentConfig, labels, class_names) -> tuple[tuple, tuple]:
+    """Stratified split of rendered traces: (train, test) (index, label) items."""
+    dataset = Dataset(tuple(enumerate(labels)), tuple(class_names))
+    train, test = split_dataset(dataset, cfg.train_fraction,
+                                seed=_child_seed(cfg.seed, "split"))
+    return train.items, test.items
+
+
+def _take(traces, items) -> tuple[list, list]:
+    """The traces and labels picked by (index, label) items."""
+    return [traces[i] for i, _ in items], [label for _, label in items]
+
+
+def _training_features(traces, labels, bins: int) -> list:
+    """Augmented training pairs: each trace contributes itself and its inverse."""
     out = []
-    for idx, label in items:
-        original, inverse = augment_with_inverse(traces[idx])
-        out.append((extract_features(original, bin_count, label), label))
-        out.append((extract_features(inverse, bin_count, label), label))
+    for trace, label in zip(traces, labels):
+        for view in augment_with_inverse(trace):
+            out.append((extract_features(view, bins, label), label))
     return out
 
 
-def _select_config(cfg: ExperimentConfig, train_features: Dataset) -> ForestConfig:
-    if not cfg.grid:
-        return cfg.forest
-    best, _ = cross_validate_grid(train_features, cfg.grid, cfg.cv_folds,
-                                  seed=_child_seed(cfg.seed, "cv"))
-    return best
+def _fit(cfg: ExperimentConfig, traces, labels, class_names, bins: int,
+         threads: int, search: str | None = "plain"):
+    """Fit stage: pick a forest config, then grow it on augmented training rows.
 
+    With ``cfg.grid`` set, cross-validation picks the config on the
+    ``"plain"`` training rows or on the ``"augmented"`` ones; with
+    ``search=None`` (or no grid) the forest is ``cfg.forest``. Returns
+    (model, chosen config).
+    """
+    train = Dataset(tuple(_training_features(traces, labels, bins)),
+                    tuple(class_names))
+    chosen = cfg.forest
+    if cfg.grid and search is not None:
+        rows = train
+        if search == "plain":
+            rows = Dataset(tuple((extract_features(t, bins, label), label)
+                                 for t, label in zip(traces, labels)),
+                           train.class_names)
+        chosen, _ = cross_validate_grid(rows, cfg.grid, cfg.cv_folds,
+                                        seed=_child_seed(cfg.seed, "cv"))
+    return train_forest(train, chosen, threads=threads), chosen
+
+
+# ---------------------------------------------------------------------------
+# Scenario runners
+# ---------------------------------------------------------------------------
 
 @dataclass(eq=False)
 class _ClosedWorldBundle:
@@ -254,12 +254,10 @@ class _ClosedWorldBundle:
     recordings: list[SensorRecording]
     traces: list[Trace1D]
     patterns: list
-    labels: list[str]
     profile_ids: list[int]
     train_items: tuple
     test_items: tuple
     model: object
-    chosen_config: ForestConfig
     report: EvalReport
 
 
@@ -268,39 +266,26 @@ def _closed_world_core(cfg: ExperimentConfig, threads: int = 1) -> _ClosedWorldB
     class_ids = _class_ids("class", cfg.class_count)
     recordings, traces, patterns, labels, profile_ids = _render_class_traces(
         cfg, class_ids, cfg.traces_per_class, profiles, "cw")
-
-    index_items = tuple((i, labels[i]) for i in range(len(traces)))
-    dataset = Dataset(index_items, tuple(class_ids))
-    train_idx, test_idx = split_dataset(dataset, cfg.train_fraction,
-                                        seed=_child_seed(cfg.seed, "split"))
+    train_items, test_items = _split(cfg, labels, class_ids)
 
     bins = min(cfg.bin_count, len(traces[0]))
-    train_plain = tuple(
-        (extract_features(traces[i], bins, label), label)
-        for i, label in train_idx.items)
-    chosen = _select_config(cfg, Dataset(train_plain, dataset.class_names))
-    train_features = Dataset(tuple(_training_features(traces, train_idx.items, bins)),
-                             dataset.class_names)
-    model = train_forest(train_features, chosen, threads=threads)
-
-    x_test = np.stack([extract_features(traces[i], bins).values
-                       for i, _ in test_idx.items])
-    codes, _ = predict_many(model, x_test)
-    pairs = [(label, model.class_names[int(c)])
-             for (_, label), c in zip(test_idx.items, codes)]
-    report = evaluate(pairs, dataset.class_names)
+    fit_traces, fit_labels = _take(traces, train_items)
+    model, chosen = _fit(cfg, fit_traces, fit_labels, class_ids, bins, threads)
+    test_traces, test_labels = _take(traces, test_items)
+    predicted, _ = _predict_labels(model, test_traces, bins)
+    pairs = list(zip(test_labels, predicted))
+    report = evaluate(pairs, tuple(class_ids))
     if len(profiles) > 1:
         per_profile = {}
         for p in range(len(profiles)):
-            sub = [(t, pred) for (i, _), (t, pred) in zip(test_idx.items, pairs)
+            sub = [(t, pred) for (i, _), (t, pred) in zip(test_items, pairs)
                    if profile_ids[i] == p]
             per_profile[f"device-{p}"] = (
                 float(np.mean([t == pred for t, pred in sub])) if sub else None)
         report.extras["per_device_accuracy"] = per_profile
     report.extras["forest_config"] = chosen.to_dict()
     return _ClosedWorldBundle(class_ids, profiles, recordings, traces, patterns,
-                              labels, profile_ids, train_idx.items, test_idx.items,
-                              model, chosen, report)
+                              profile_ids, train_items, test_items, model, report)
 
 
 def run_closed_world(cfg: ExperimentConfig, threads: int = 1) -> EvalReport:
@@ -324,43 +309,29 @@ def run_open_world(cfg: ExperimentConfig, threads: int = 1) -> EvalReport:
 
     _, traces, _, labels, _ = _render_class_traces(
         cfg, monitored, cfg.traces_per_class, profiles, "cw")
-    index_items = tuple((i, labels[i]) for i in range(len(traces)))
-    mon_dataset = Dataset(index_items, tuple(monitored))
-    train_idx, test_idx = split_dataset(mon_dataset, cfg.train_fraction,
-                                        seed=_child_seed(cfg.seed, "split"))
+    train_items, test_items = _split(cfg, labels, monitored)
 
     has_pool = bool(unmonitored_train) or bool(background)
     class_names = tuple(monitored) + ((UNMONITORED_LABEL,) if has_pool else ())
     bins = min(cfg.bin_count, len(traces[0]))
 
-    train_pairs = list(_training_features(traces, train_idx.items, bins))
+    fit_traces, fit_labels = _take(traces, train_items)
     if unmonitored_train:
-        _, upool_traces, _, _, _ = _render_class_traces(
+        _, pool, _, _, _ = _render_class_traces(
             cfg, unmonitored_train, cfg.traces_per_class, profiles, "ow-pool")
-        for trace in upool_traces:
-            original, inverse = augment_with_inverse(trace)
-            train_pairs.append((extract_features(original, bins, UNMONITORED_LABEL),
-                                UNMONITORED_LABEL))
-            train_pairs.append((extract_features(inverse, bins, UNMONITORED_LABEL),
-                                UNMONITORED_LABEL))
+        fit_traces += pool
+        fit_labels += [UNMONITORED_LABEL] * len(pool)
+    model, chosen = _fit(cfg, fit_traces, fit_labels, class_names, bins, threads,
+                         search="augmented")
 
-    train_features = Dataset(tuple(train_pairs), class_names)
-    chosen = _select_config(cfg, train_features)
-    model = train_forest(train_features, chosen, threads=threads)
-
-    test_feats = [(extract_features(traces[i], bins), label)
-                  for i, label in test_idx.items]
+    test_traces, test_labels = _take(traces, test_items)
     if background:
         _, bg_traces, _, _, _ = _render_class_traces(
             cfg, background, cfg.background_traces_each, profiles, "ow-bg")
-        test_feats.extend((extract_features(t, bins), UNMONITORED_LABEL)
-                          for t in bg_traces)
-
-    x_test = np.stack([fv.values for fv, _ in test_feats])
-    codes, _ = predict_many(model, x_test)
-    pairs = [(label, model.class_names[int(c)])
-             for (_, label), c in zip(test_feats, codes)]
-    report = evaluate(pairs, class_names)
+        test_traces += bg_traces
+        test_labels += [UNMONITORED_LABEL] * len(bg_traces)
+    predicted, _ = _predict_labels(model, test_traces, bins)
+    report = evaluate(list(zip(test_labels, predicted)), class_names)
     monitored_precisions = [report.per_class[name][0] for name in monitored]
     defined = [p for p in monitored_precisions if p is not None]
     report.extras["mean_monitored_precision"] = (
@@ -375,6 +346,8 @@ def run_sampling_sweep(cfg: ExperimentConfig, rates=None,
 
     Traces are decimated before feature extraction; the feature count is
     clamped to the decimated trace length when it falls below ``bin_count``.
+    At the device rate the traces made while rendering are reused instead
+    of preprocessing every recording again.
     """
     rates = tuple(cfg.rates if rates is None else rates)
     for rate in rates:
@@ -382,28 +355,22 @@ def run_sampling_sweep(cfg: ExperimentConfig, rates=None,
             raise ValueError("sweep rates cannot exceed the device rate")
     profiles = cfg.resolved_profiles()
     class_ids = _class_ids("class", cfg.class_count)
-    recordings, _, _, labels, _ = _render_class_traces(
+    recordings, native, _, labels, _ = _render_class_traces(
         cfg, class_ids, cfg.traces_per_class, profiles, "cw")
-    index_items = tuple((i, labels[i]) for i in range(len(recordings)))
-    dataset = Dataset(index_items, tuple(class_ids))
-    train_idx, test_idx = split_dataset(dataset, cfg.train_fraction,
-                                        seed=_child_seed(cfg.seed, "split"))
+    train_items, test_items = _split(cfg, labels, class_ids)
 
     results: list[tuple[float, float]] = []
     for rate in rates:
-        target = None if rate == cfg.rate_hz else rate
-        traces = [preprocess_recording(rec, target) for rec in recordings]
+        traces = (native if rate == cfg.rate_hz
+                  else [preprocess_recording(rec, rate) for rec in recordings])
         bins = min(cfg.bin_count, len(traces[0]))
-        train_features = Dataset(
-            tuple(_training_features(traces, train_idx.items, bins)),
-            dataset.class_names)
-        model = train_forest(train_features, cfg.forest, threads=threads)
-        x_test = np.stack([extract_features(traces[i], bins).values
-                           for i, _ in test_idx.items])
-        codes, _ = predict_many(model, x_test)
-        accuracy = float(np.mean([
-            model.class_names[int(c)] == label
-            for (_, label), c in zip(test_idx.items, codes)]))
+        fit_traces, fit_labels = _take(traces, train_items)
+        model, _ = _fit(cfg, fit_traces, fit_labels, class_ids, bins, threads,
+                        search=None)
+        test_traces, test_labels = _take(traces, test_items)
+        predicted, _ = _predict_labels(model, test_traces, bins)
+        accuracy = float(np.mean([p == label
+                                  for p, label in zip(predicted, test_labels)]))
         results.append((float(rate), accuracy))
     return results
 
@@ -422,14 +389,7 @@ class ContinuousResult:
     thresholds: dict
 
     def to_dict(self) -> dict:
-        return {
-            "detection_precision": self.detection_precision,
-            "detection_recall": self.detection_recall,
-            "classify_accuracy": self.classify_accuracy,
-            "closed_world_accuracy": self.closed_world_accuracy,
-            "tp": self.tp, "fp": self.fp, "fn": self.fn,
-            "thresholds": self.thresholds,
-        }
+        return asdict(self)
 
 
 def run_continuous(cfg: ExperimentConfig, threads: int = 1) -> ContinuousResult:
@@ -446,7 +406,6 @@ def run_continuous(cfg: ExperimentConfig, threads: int = 1) -> ContinuousResult:
     core = _closed_world_core(cfg, threads)
     rate = cfg.rate_hz
     target = core.class_ids[0]
-    bins = min(cfg.bin_count, len(core.traces[0]))
 
     target_train = [core.traces[i] for i, label in core.train_items
                     if label == target]
@@ -489,7 +448,7 @@ def run_continuous(cfg: ExperimentConfig, threads: int = 1) -> ContinuousResult:
             min_height=mu + cfg.height_sigma * sd,
             min_prominence=cfg.prominence_sigma * sd,
             min_width_samples=width_samples)
-        detections = _detect.detect_and_classify(stream, pattern, thresholds,
+        detections = _detect.detect_and_classify(stream, series, thresholds,
                                                  core.model, cfg.window_s)
         truth = [(offsets[0], target)]
         matches = _detect.match_detections(detections, truth, cfg.tolerance_s, rate)
@@ -535,13 +494,7 @@ class MovementResult:
     stationary_flagged_fraction: float
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy_unfiltered": self.accuracy_unfiltered,
-            "rejected_fraction": self.rejected_fraction,
-            "accuracy_filtered": self.accuracy_filtered,
-            "motion_flagged_fraction": self.motion_flagged_fraction,
-            "stationary_flagged_fraction": self.stationary_flagged_fraction,
-        }
+        return asdict(self)
 
 
 def run_movement(cfg: ExperimentConfig, threads: int = 1) -> MovementResult:
@@ -561,40 +514,27 @@ def run_movement(cfg: ExperimentConfig, threads: int = 1) -> MovementResult:
     motion_slots = set(int(i) for i in
                        rng.choice(n_test, size=n_motion, replace=False))
 
-    test_recs: list[SensorRecording] = []
-    test_traces: list[Trace1D] = []
-    test_labels: list[str] = []
-    is_motion: list[bool] = []
-    for slot, (idx, label) in enumerate(core.test_items):
-        if slot in motion_slots:
-            pattern = core.patterns[idx]
-            n_samples = len(core.recordings[idx])
-            script = random_motion_script(
-                n_samples, rate, _child_seed(cfg.seed, "motion", slot),
-                peak_rate_rad_s=(cfg.motion_peak_rate, cfg.motion_peak_rate * 1.5))
-            rec = render_recording(pattern, core.profiles[core.profile_ids[idx]],
-                                   motion=script,
-                                   seed=_child_seed(cfg.seed, "motion-render", slot),
-                                   label=label)
-            test_recs.append(rec)
-            test_traces.append(preprocess_recording(rec))
-            is_motion.append(True)
-        else:
-            test_recs.append(core.recordings[idx])
-            test_traces.append(core.traces[idx])
-            is_motion.append(False)
-        test_labels.append(label)
+    # Start from the stationary test set; re-render the motion slots.
+    test_recs, test_labels = _take(core.recordings, core.test_items)
+    test_traces, _ = _take(core.traces, core.test_items)
+    for slot in sorted(motion_slots):
+        idx, label = core.test_items[slot]
+        script = random_motion_script(
+            len(core.recordings[idx]), rate, _child_seed(cfg.seed, "motion", slot),
+            peak_rate_rad_s=(cfg.motion_peak_rate, cfg.motion_peak_rate * 1.5))
+        test_recs[slot] = render_recording(
+            core.patterns[idx], core.profiles[core.profile_ids[idx]], motion=script,
+            seed=_child_seed(cfg.seed, "motion-render", slot), label=label)
+        test_traces[slot] = preprocess_recording(test_recs[slot])
 
-    x_test = np.stack([extract_features(t, bins).values for t in test_traces])
-    codes, _ = predict_many(core.model, x_test)
-    correct = np.asarray([core.model.class_names[int(c)] == label
-                          for c, label in zip(codes, test_labels)])
+    predicted, _ = _predict_labels(core.model, test_traces, bins)
+    correct = np.asarray([p == label for p, label in zip(predicted, test_labels)])
 
     result = filter_dataset(test_recs, cfg.motion_thresholds)
     kept_ids = {id(r) for r in result.kept}
     kept_mask = np.asarray([id(r) in kept_ids for r in test_recs])
 
-    motion_mask = np.asarray(is_motion)
+    motion_mask = np.asarray([slot in motion_slots for slot in range(n_test)])
     flagged = ~kept_mask
     motion_flagged = (float(flagged[motion_mask].mean())
                       if motion_mask.any() else 0.0)
@@ -634,66 +574,93 @@ def run_snr_calibration(cfg: ExperimentConfig) -> list[dict]:
 
 
 def replace_profile_gain(profile: DeviceProfile, gain: float) -> DeviceProfile:
-    return DeviceProfile(profile.baseline_field, profile.coupling_dir, gain,
-                         profile.noise_std, profile.rate_hz,
-                         gyro_noise_std=profile.gyro_noise_std)
+    return replace(profile, gain=gain)
 
 
 # ---------------------------------------------------------------------------
 # Scenario dispatch and report files
 # ---------------------------------------------------------------------------
 
-def run_scenario(cfg: ExperimentConfig, threads: int = 1) -> tuple[dict, str]:
-    """Run the configured scenario; returns (report payload, rendered text)."""
-    payload: dict = {"scenario": cfg.scenario, "config": cfg.to_dict()}
-    if cfg.scenario == "closed-world":
-        report = run_closed_world(cfg, threads)
-        payload["report"] = report.to_dict()
-        text = format_report_text(report)
-    elif cfg.scenario == "open-world":
-        report = run_open_world(cfg, threads)
-        payload["report"] = report.to_dict()
-        text = format_report_text(report)
-        mmp = report.extras.get("mean_monitored_precision")
-        if mmp is not None:
-            text += f"\nmean monitored precision: {mmp:.4f}\n"
-    elif cfg.scenario == "sweep":
-        rows = run_sampling_sweep(cfg, threads=threads)
-        payload["rows"] = [{"rate_hz": r, "accuracy": a} for r, a in rows]
-        lines = [f"{'rate,Hz':>10}  {'accuracy':>9}"]
-        lines += [f"{r:>10g}  {a:>9.4f}" for r, a in rows]
-        text = "\n".join(lines) + "\n"
-    elif cfg.scenario == "continuous":
-        result = run_continuous(cfg, threads)
-        payload["result"] = result.to_dict()
-        text = (
-            f"detections: tp={result.tp} fp={result.fp} fn={result.fn}\n"
-            f"precision: {_fmt(result.detection_precision)}\n"
-            f"recall: {_fmt(result.detection_recall)}\n"
-            f"classify-at-peaks accuracy: {_fmt(result.classify_accuracy)}\n"
-            f"closed-world accuracy: {result.closed_world_accuracy:.4f}\n"
-        )
-    elif cfg.scenario == "movement":
-        result = run_movement(cfg, threads)
-        payload["result"] = result.to_dict()
-        text = (
-            f"accuracy unfiltered: {result.accuracy_unfiltered:.4f}\n"
-            f"rejected fraction: {result.rejected_fraction:.4f}\n"
-            f"accuracy filtered: {result.accuracy_filtered:.4f}\n"
-        )
-    else:
-        rows = run_snr_calibration(cfg)
-        payload["rows"] = rows
-        lines = [f"{'gain,uT':>8}  {'SNR,dB':>8}  {'corr':>6}"]
-        for row in rows:
-            lines.append(f"{row['gain']:>8g}  {row['snr_db']:>8.1f}  "
-                         f"{_fmt(row['pattern_correlation'], 2):>6}")
-        text = "\n".join(lines) + "\n"
-    return payload, text
-
-
 def _fmt(value: float | None, digits: int = 4) -> str:
     return "---" if value is None else f"{value:.{digits}f}"
+
+
+def _open_world_text(report: EvalReport) -> str:
+    text = format_report_text(report)
+    mmp = report.extras.get("mean_monitored_precision")
+    if mmp is not None:
+        text += f"\nmean monitored precision: {mmp:.4f}\n"
+    return text
+
+
+def _sweep_text(rows: list[dict]) -> str:
+    lines = [f"{'rate,Hz':>10}  {'accuracy':>9}"]
+    lines += [f"{row['rate_hz']:>10g}  {row['accuracy']:>9.4f}" for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _continuous_text(result: ContinuousResult) -> str:
+    return (
+        f"detections: tp={result.tp} fp={result.fp} fn={result.fn}\n"
+        f"precision: {_fmt(result.detection_precision)}\n"
+        f"recall: {_fmt(result.detection_recall)}\n"
+        f"classify-at-peaks accuracy: {_fmt(result.classify_accuracy)}\n"
+        f"closed-world accuracy: {result.closed_world_accuracy:.4f}\n"
+    )
+
+
+def _movement_text(result: MovementResult) -> str:
+    return (
+        f"accuracy unfiltered: {result.accuracy_unfiltered:.4f}\n"
+        f"rejected fraction: {result.rejected_fraction:.4f}\n"
+        f"accuracy filtered: {result.accuracy_filtered:.4f}\n"
+    )
+
+
+def _snr_text(rows: list[dict]) -> str:
+    lines = [f"{'gain,uT':>8}  {'SNR,dB':>8}  {'corr':>6}"]
+    for row in rows:
+        lines.append(f"{row['gain']:>8g}  {row['snr_db']:>8.1f}  "
+                     f"{_fmt(row['pattern_correlation'], 2):>6}")
+    return "\n".join(lines) + "\n"
+
+
+# scenario -> (runner(cfg, threads), text formatter). The runners look the
+# scenario functions up by name at call time, so wrappers installed on this
+# module's functions (profilers, tracers) see every run.
+_SCENARIO_REGISTRY = {
+    "closed-world": (lambda cfg, threads: run_closed_world(cfg, threads),
+                     format_report_text),
+    "open-world": (lambda cfg, threads: run_open_world(cfg, threads),
+                   _open_world_text),
+    "sweep": (lambda cfg, threads: [
+                  {"rate_hz": r, "accuracy": a}
+                  for r, a in run_sampling_sweep(cfg, threads=threads)],
+              _sweep_text),
+    "continuous": (lambda cfg, threads: run_continuous(cfg, threads),
+                   _continuous_text),
+    "movement": (lambda cfg, threads: run_movement(cfg, threads), _movement_text),
+    "snr": (lambda cfg, threads: run_snr_calibration(cfg), _snr_text),
+}
+_SCENARIOS = tuple(_SCENARIO_REGISTRY)
+
+
+def run_scenario(cfg: ExperimentConfig, threads: int = 1) -> tuple[dict, str]:
+    """Run the configured scenario; returns (report payload, rendered text).
+
+    The payload holds the config plus the scenario's outcome under
+    ``report`` (an EvalReport), ``rows`` (a table) or ``result``.
+    """
+    runner, formatter = _SCENARIO_REGISTRY[cfg.scenario]
+    outcome = runner(cfg, threads)
+    payload: dict = {"scenario": cfg.scenario, "config": cfg.to_dict()}
+    if isinstance(outcome, list):
+        payload["rows"] = outcome
+    elif isinstance(outcome, EvalReport):
+        payload["report"] = outcome.to_dict()
+    else:
+        payload["result"] = outcome.to_dict()
+    return payload, formatter(outcome)
 
 
 def write_report(out_dir, payload: dict, text: str) -> None:

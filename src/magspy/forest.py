@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -82,18 +82,11 @@ class ForestConfig:
             raise ValueError("min_impurity_decrease must be non-negative")
 
     def to_dict(self) -> dict:
-        return {
-            "n_estimators": self.n_estimators,
-            "max_features": self.max_features,
-            "max_depth": self.max_depth,
-            "min_impurity_decrease": self.min_impurity_decrease,
-            "bootstrap": self.bootstrap,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ForestConfig":
-        unknown = set(obj) - set(cls().to_dict())
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown forest config fields: {sorted(unknown)}")
         return cls(**obj)
@@ -146,13 +139,30 @@ class ForestModel:
     config: ForestConfig
 
     def __post_init__(self):
+        # Every walk from the root must end at a leaf: children come after
+        # their parent in pre-order and no node is shared, so the nodes form
+        # a tree and each step strictly increases the node index.
+        n_classes = len(self.class_names)
         for tree in self.trees:
+            n = tree.n_nodes
+            if any(a.shape != (n,) for a in (tree.feature, tree.threshold,
+                                             tree.left, tree.right)):
+                raise ValueError("tree arrays must hold one entry per node")
+            if tree.counts.shape != (n, n_classes):
+                raise ValueError("each counts row must hold one entry per class")
             internal = tree.feature >= 0
             if np.any(tree.feature[internal] >= self.n_features):
                 raise ValueError("split feature index exceeds feature dimension")
+            parents = np.flatnonzero(internal)
             children = np.concatenate([tree.left[internal], tree.right[internal]])
-            if internal.any() and (children.min() < 0 or children.max() >= tree.n_nodes):
+            if internal.any() and (children.min() < 0 or children.max() >= n):
                 raise ValueError("internal node with missing child")
+            if np.any(children <= np.concatenate([parents, parents])):
+                raise ValueError("child node index must exceed its parent's")
+            if np.unique(children).size != children.size:
+                raise ValueError("node with more than one parent")
+            if not np.isfinite(tree.threshold[internal]).all():
+                raise ValueError("internal node threshold must be finite")
             leaf_totals = tree.counts[~internal].sum(axis=1)
             if np.any(tree.counts < 0) or np.any(leaf_totals <= 0):
                 raise ValueError("leaf histograms must be non-negative with positive total")
@@ -361,6 +371,19 @@ def extract_features(trace: Trace1D, bin_count: int = DEFAULT_BIN_COUNT,
         b = min(n, _round_half_up(i * stride + 2.0 * stride))
         out[i] = v[a:b].mean()
     return FeatureVector(out, label=label)
+
+
+def _predict_labels(model: ForestModel, traces,
+                    bins: int) -> tuple[list[str], list[float]]:
+    """Featurize traces into one matrix and classify it in one ``predict_many`` call.
+
+    Returns each trace's predicted label and that label's probability, the
+    same values :func:`predict` gives trace by trace.
+    """
+    x = np.stack([extract_features(t, bins).values for t in traces])
+    codes, probs = predict_many(model, x)
+    labels = [model.class_names[int(c)] for c in codes]
+    return labels, probs[np.arange(codes.size), codes].tolist()
 
 
 def split_dataset(data: Dataset, train_fraction: float,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -391,8 +391,7 @@ def random_motion_script(n_samples: int, rate_hz: float, seed: int, *,
 # ---------------------------------------------------------------------------
 
 def profile_from_dict(obj: dict) -> DeviceProfile:
-    known = {"baseline_field", "coupling_dir", "gain", "noise_std", "rate_hz",
-             "gyro_noise_std", "snr_db"}
+    known = {f.name for f in fields(DeviceProfile)} | {"snr_db"}
     unknown = set(obj) - known
     if unknown:
         raise ValueError(f"unknown device profile fields: {sorted(unknown)}")

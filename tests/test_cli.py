@@ -2,11 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from conftest import MALFORMED_TREES, write_model_doc
 
 from magspy.cli import main
 from magspy.detect import save_pattern, ActivityPattern
-from magspy.forest import load_model
-from magspy.traces import load_recordings
+from magspy.forest import extract_features, load_model, predict
+from magspy.preprocess import preprocess_recording
+from magspy.traces import SensorRecording, load_recordings, save_recordings
 
 
 def write_config(tmp_path, **kw):
@@ -46,6 +48,53 @@ class TestSimulateTrainClassify:
         assert len(lines) == 24
         report = json.loads((out_dir / "report.json").read_text())
         assert report["report"]["accuracy"] >= 0.9  # training data
+
+    def test_classify_matches_per_recording_predict(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        main(["simulate", "--config", config, "--out", str(tmp_path / "sim")])
+        main(["simulate", "--config", config, "--out", str(tmp_path / "held"),
+              "--seed", "5"])
+        model_dir = tmp_path / "model"
+        main(["train", "--config", config, "--data",
+              str(tmp_path / "sim" / "recordings.jsonl"), "--out", str(model_dir)])
+        held = tmp_path / "held" / "recordings.jsonl"
+        out_dir = tmp_path / "pred"
+        assert main(["classify", "--model", str(model_dir / "model.json"),
+                     "--data", str(held), "--out", str(out_dir)]) == 0
+        rows = [json.loads(line) for line
+                in (out_dir / "predictions.jsonl").read_text().splitlines()]
+        model = load_model(model_dir / "model.json")
+        recordings = load_recordings(held)
+        assert len(rows) == len(recordings)
+        for rec, row in zip(recordings, rows):
+            features = extract_features(preprocess_recording(rec), model.n_features)
+            label, probs = predict(model, features)
+            assert row["predicted"] == label
+            assert row["probability"] == probs[label]
+            assert row["label"] == rec.label
+
+    def test_classify_empty_data_file(self, tmp_path, capsys):
+        config = write_config(tmp_path, class_count=2, traces_per_class=4)
+        main(["simulate", "--config", config, "--out", str(tmp_path / "sim")])
+        model_dir = tmp_path / "model"
+        main(["train", "--config", config, "--data",
+              str(tmp_path / "sim" / "recordings.jsonl"), "--out", str(model_dir)])
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out_dir = tmp_path / "pred"
+        assert main(["classify", "--model", str(model_dir / "model.json"),
+                     "--data", str(empty), "--out", str(out_dir)]) == 0
+        assert (out_dir / "predictions.jsonl").read_text() == ""
+        assert not (out_dir / "report.json").exists()
+
+    @pytest.mark.parametrize("name", ["self-loop", "shared-child"])
+    def test_classify_rejects_malformed_model(self, tmp_path, capsys, name):
+        model = write_model_doc(tmp_path / "model.json", MALFORMED_TREES[name])
+        data = tmp_path / "data.jsonl"
+        save_recordings([SensorRecording(
+            "d", 100.0, np.random.default_rng(0).normal(50, 1, (300, 3)))], data)
+        assert main(["classify", "--model", str(model), "--data", str(data)]) == 1
+        assert "magspy: error:" in capsys.readouterr().err
 
     def test_classify_to_stdout(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -120,6 +169,26 @@ class TestDetectCommand:
         assert rc == 0
         recs = load_recordings(sim_dir / "recordings.jsonl")
         assert all(np.linalg.norm(r.gyro, axis=1).max() > 1.9 for r in recs)
+
+    def test_motion_script_render_follows_seed(self, tmp_path, capsys):
+        # With a gain-0 device only the render noise tells recordings apart.
+        config = write_config(tmp_path, class_count=1, traces_per_class=2)
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"gain": 0.0}))
+        script = tmp_path / "motion.json"
+        script.write_text(json.dumps({"rotation_events": [
+            {"start_index": 50, "duration_samples": 100,
+             "peak_rate_rad_s": 2.0, "axis": [0.0, 0.0, 1.0]}]}))
+        mags = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"sim-{seed}"
+            assert main(["simulate", "--config", config, "--out", str(out),
+                         "--seed", seed, "--device-profile", str(profile),
+                         "--motion-script", str(script)]) == 0
+            recordings = load_recordings(out / "recordings.jsonl")
+            mags.append([rec.mag for rec in recordings])
+        for a, b in zip(*mags):
+            assert not np.array_equal(a, b)
 
     def test_detect_without_model_has_null_labels(self, tmp_path, capsys):
         pattern = ActivityPattern(np.array([0.5, -0.5, 0.25, -0.25]), 100.0, "x")

@@ -5,7 +5,8 @@ from magspy.detect import (ActivityPattern, CorrelationSeries, Detection,
                            PeakThresholds, average_pattern, cross_correlate,
                            detect_and_classify, find_peaks, load_pattern,
                            match_detections, save_pattern, score_detections)
-from magspy.forest import ForestConfig, train_forest
+from magspy.forest import ForestConfig, extract_features, predict, train_forest
+from magspy.preprocess import normalize_unit_range
 from magspy.traces import Dataset, Trace1D
 
 
@@ -210,8 +211,8 @@ class TestDetectAndClassify:
         # Sinusoidal templates autocorrelate with side lobes around 4.1;
         # the main peak scores about 7.1.
         thresholds = PeakThresholds(5.0, 4.5, 2)
-        detections = detect_and_classify(stream, pattern, thresholds, model,
-                                         window_s=60.0)
+        detections = detect_and_classify(stream, cross_correlate(stream, pattern),
+                                         thresholds, model, window_s=60.0)
         assert len(detections) == 1
         assert abs(detections[0].time_index - offset) <= 1
         assert detections[0].predicted_label == "A"
@@ -222,7 +223,7 @@ class TestDetectAndClassify:
         model = self._model(template, 1.0 - template)
         stream = Trace1D(rng.normal(0, 0.01, 500), 1.0)
         pattern = ActivityPattern(template - template.mean(), 1.0, "A")
-        out = detect_and_classify(stream, pattern,
+        out = detect_and_classify(stream, cross_correlate(stream, pattern),
                                   PeakThresholds(100.0, 0.0, 1), model, 40.0)
         assert out == []
 
@@ -236,12 +237,28 @@ class TestDetectAndClassify:
             stream_values[offset:offset + 50] += template
         stream = Trace1D(stream_values, 1.0)
         pattern = ActivityPattern(template - template.mean(), 1.0, "A")
-        detections = detect_and_classify(stream, pattern,
+        detections = detect_and_classify(stream, cross_correlate(stream, pattern),
                                          PeakThresholds(2.0, 1.5, 2), model, 50.0)
         near = [d for d in detections
                 if min(abs(d.time_index - 100), abs(d.time_index - 400)) <= 2]
         assert len(near) == 2
         assert near[0].time_index < near[1].time_index
+
+    def test_batched_labels_match_per_window_predict(self):
+        rng = np.random.default_rng(9)
+        template = np.clip(0.5 + 0.5 * np.sin(np.linspace(0, 7, 50)), 0, 1)
+        template = (template - template.min()) / np.ptp(template)
+        model = self._model(template, 1.0 - template)
+        stream = Trace1D(rng.normal(0.0, 0.2, 400), 1.0)
+        pattern = ActivityPattern(template - template.mean(), 1.0, "A")
+        detections = detect_and_classify(stream, cross_correlate(stream, pattern),
+                                         PeakThresholds(-1e9, 0.0, 1), model, 20.0)
+        assert len(detections) > 5
+        for det in detections:
+            k = det.time_index
+            window = normalize_unit_range(Trace1D(stream.values[k:k + 20], 1.0))
+            label, _ = predict(model, extract_features(window, model.n_features))
+            assert det.predicted_label == label
 
     def test_window_past_end_dropped(self):
         template = np.concatenate([np.zeros(5), np.ones(5)])
@@ -250,9 +267,21 @@ class TestDetectAndClassify:
         stream_values[22:27] += 1.0
         stream = Trace1D(stream_values, 1.0)
         pattern = ActivityPattern(template - template.mean(), 1.0, "A")
-        out = detect_and_classify(stream, pattern, PeakThresholds(-10.0, 0.0, 1),
-                                  model, window_s=15.0)
+        out = detect_and_classify(stream, cross_correlate(stream, pattern),
+                                  PeakThresholds(-10.0, 0.0, 1), model, window_s=15.0)
         assert all(d.time_index + 15 <= 30 for d in out)
+
+    def test_series_must_belong_to_the_stream(self):
+        template = np.concatenate([np.zeros(5), np.ones(5)])
+        model = self._model(template, 1.0 - template)
+        stream = Trace1D(np.zeros(30), 1.0)
+        thresholds = PeakThresholds(-10.0, 0.0, 1)
+        with pytest.raises(ValueError, match="rates differ"):
+            detect_and_classify(stream, CorrelationSeries(np.zeros(21), 2.0),
+                                thresholds, model, window_s=10.0)
+        with pytest.raises(ValueError, match="longer than the stream"):
+            detect_and_classify(stream, series(np.zeros(31)), thresholds, model,
+                                window_s=10.0)
 
 
 class TestPatternPersistence:

@@ -8,6 +8,8 @@ from magspy.experiments import (ExperimentConfig, run_closed_world,
                                 run_sampling_sweep, run_snr_calibration,
                                 run_scenario, write_report)
 from magspy.forest import ForestConfig
+from magspy.motion import MotionThresholds
+from magspy.simulate import profile_for_snr
 from magspy.traces import UNMONITORED_LABEL
 
 
@@ -22,16 +24,48 @@ def small_config(**kw):
     return ExperimentConfig(**base)
 
 
+# Sets every field that (de)serializes through a nested document or a tuple.
+EVERY_NESTED_FIELD = small_config(
+    grid=(ForestConfig(n_estimators=10, seed=1),
+          ForestConfig(n_estimators=20, max_features="sqrt", max_depth=8,
+                       min_impurity_decrease=0.0, bootstrap=False, seed=2)),
+    device_profiles=(profile_for_snr(12.0),
+                     profile_for_snr(15.0, noise_std=0.5, gyro_noise_std=0.01)),
+    motion_thresholds=MotionThresholds(0.1, 0.9),
+    rates=(100.0, 25.0), gains=(0.0, 3.0))
+
+
 class TestExperimentConfig:
-    def test_round_trips_through_dict(self):
-        cfg = small_config(scenario="open-world", monitored_count=2,
-                           unmonitored_train_count=2, background_count=3)
+    @pytest.mark.parametrize("cfg", [
+        small_config(scenario="open-world", monitored_count=2,
+                     unmonitored_train_count=2, background_count=3),
+        EVERY_NESTED_FIELD,
+    ], ids=["open-world", "every-nested-field"])
+    def test_round_trips_through_dict(self, cfg):
         back = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert back.to_dict() == cfg.to_dict()
+        assert back.forest == cfg.forest
+        assert back.grid == cfg.grid
+        assert back.motion_thresholds == cfg.motion_thresholds
+        assert back.rates == cfg.rates and back.gains == cfg.gains
+        assert len(back.resolved_profiles()) == len(cfg.resolved_profiles())
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             ExperimentConfig.from_dict({"bogus": 1})
+
+    def test_unknown_forest_field_rejected(self):
+        with pytest.raises(ValueError, match="unknown forest config fields"):
+            ExperimentConfig.from_dict({"forest": {"n_estimators": 5, "bogus": 1}})
+
+    def test_empty_nested_documents_keep_defaults(self):
+        cfg = ExperimentConfig.from_dict({"forest": None, "device_profiles": [],
+                                          "grid": None, "motion_thresholds": None})
+        default = ExperimentConfig()
+        assert cfg.forest == default.forest
+        assert cfg.device_profiles is None and cfg.grid is None
+        assert cfg.motion_thresholds == default.motion_thresholds
+        assert cfg.to_dict() == default.to_dict()
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):
@@ -40,6 +74,10 @@ class TestExperimentConfig:
     def test_default_grid_keyword(self):
         cfg = ExperimentConfig.from_dict({"grid": "default"})
         assert len(cfg.grid) == 24
+
+    def test_default_grid_takes_the_config_seed(self):
+        cfg = ExperimentConfig.from_dict({"grid": "default", "seed": 7})
+        assert {c.seed for c in cfg.grid} == {7}
 
 
 class TestClosedWorld:
@@ -145,6 +183,21 @@ class TestSamplingSweep:
     def test_rate_above_native_rejected(self):
         with pytest.raises(ValueError):
             run_sampling_sweep(small_config(), rates=(200.0,))
+
+    def test_native_rate_preprocesses_each_recording_once(self, monkeypatch):
+        import magspy.experiments as experiments
+        calls = []
+        original = experiments.preprocess_recording
+
+        def counting(rec, *args, **kwargs):
+            calls.append(rec)
+            return original(rec, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "preprocess_recording", counting)
+        cfg = small_config(class_count=3, traces_per_class=6)
+        run_sampling_sweep(cfg, rates=(cfg.rate_hz,))
+        assert len(calls) == 3 * 6
+        assert len({id(rec) for rec in calls}) == 3 * 6
 
 
 class TestContinuous:

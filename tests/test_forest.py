@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from conftest import brute_force_best_split
+from conftest import (MALFORMED_TREES, brute_force_best_split, tree_doc,
+                      write_model_doc)
 
 from magspy.forest import (FeatureVector, ForestConfig, cross_validate_grid,
                            extract_features, load_model, predict, predict_many,
@@ -268,3 +269,27 @@ class TestModelSerialization:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError):
             load_model(path)
+
+
+class TestModelValidation:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_TREES))
+    def test_malformed_tree_rejected(self, tmp_path, name):
+        path = write_model_doc(tmp_path / "model.json", MALFORMED_TREES[name])
+        with pytest.raises(ValueError):
+            load_model(path)
+
+    def test_well_formed_document_loads(self, tmp_path):
+        tree = tree_doc([0, -1, -1], [0.5, None, None], [1, -1, -1],
+                         [2, -1, -1], [None, [1, 0], [0, 1]])
+        model = load_model(write_model_doc(tmp_path / "model.json", tree))
+        codes, _ = predict_many(model, [[0.0], [1.0]])
+        assert codes.tolist() == [0, 1]
+
+    def test_trained_forest_passes_validation(self, tmp_path):
+        rng = np.random.default_rng(3)
+        x = rng.normal(0, 1, (40, 4))
+        labels = ["A" if v[0] > 0 else "B" for v in x]
+        model = train_forest(feature_dataset(list(zip(x, labels))),
+                             ForestConfig(n_estimators=8, seed=2))
+        save_model(model, tmp_path / "model.json")
+        assert len(load_model(tmp_path / "model.json").trees) == 8
