@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -81,7 +82,7 @@ def _cmd_train(args) -> int:
     labels = [rec.label for rec in recordings]
     bins = min(cfg.bin_count, min(len(t) for t in traces))
     dataset = Dataset.from_pairs(_training_features(traces, labels, bins))
-    model = train_forest(dataset, cfg.forest, threads=args.threads)
+    model = train_forest(dataset, cfg.forest)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.json")
@@ -126,18 +127,42 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _read_truth(path, rates) -> list[list[tuple[int, str]]]:
+    """Truth events per stream as (sample index, label) lists, one per recording.
+
+    Each JSONL line holds ``time_s``, an optional ``label`` and an optional
+    ``stream``: the 0-based index of the recording in the data file (default 0).
+    """
+    truth = [[] for _ in rates]
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        obj = json.loads(line)
+        stream = obj.get("stream", 0) if isinstance(obj, dict) else None
+        if type(stream) is not int or not 0 <= stream < len(rates):
+            raise ValueError(f"{path}: line {lineno}: stream must be an integer "
+                             f"index below the {len(rates)} recordings")
+        time_s = obj.get("time_s")
+        if type(time_s) not in (int, float) or not math.isfinite(time_s):
+            raise ValueError(f"{path}: line {lineno}: time_s must be a finite number")
+        truth[stream].append((int(round(time_s * rates[stream])),
+                              obj.get("label", "")))
+    return truth
+
+
 def _cmd_detect(args) -> int:
     pattern = _detect.load_pattern(args.pattern)
     recordings = load_recordings(args.data)
     model = load_model(args.model) if args.model else None
     thresholds = _detect.PeakThresholds(args.min_height, args.min_prominence,
                                         args.min_width)
+    truth = (_read_truth(args.truth, [rec.rate_hz for rec in recordings])
+             if args.truth else None)
     lines = []
-    all_detections = []
-    rate = None
+    per_stream = []
     for rec in recordings:
         stream = preprocess_recording(rec)
-        rate = stream.rate_hz
         series = _detect.cross_correlate(stream, pattern)
         if model is not None:
             detections = _detect.detect_and_classify(stream, series, thresholds,
@@ -147,7 +172,7 @@ def _cmd_detect(args) -> int:
                 _detect.Detection(k, float(series.values[k]))
                 for k in _detect.find_peaks(series, thresholds)
             ]
-        all_detections.extend(detections)
+        per_stream.append(detections)
         for det in detections:
             lines.append(json.dumps({
                 "time_s": det.time_index / stream.rate_hz,
@@ -156,15 +181,11 @@ def _cmd_detect(args) -> int:
             }, separators=(",", ":")))
     output = "".join(line + "\n" for line in lines)
     scores = None
-    if args.truth and rate is not None:
-        truth = [
-            (int(round(obj["time_s"] * rate)), obj.get("label", ""))
-            for obj in (json.loads(line) for line
-                        in Path(args.truth).read_text().splitlines() if line.strip())
-        ]
-        counts = _detect.score_detections(all_detections, truth,
-                                          args.tolerance_s, rate)
-        scores = {"tp": counts.tp, "fp": counts.fp, "fn": counts.fn}
+    if truth is not None:
+        counts = [_detect.score_detections(dets, events, args.tolerance_s, rec.rate_hz)
+                  for dets, events, rec in zip(per_stream, truth, recordings)]
+        scores = {name: sum(getattr(c, name) for c in counts)
+                  for name in ("tp", "fp", "fn")}
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -188,7 +209,7 @@ def _cmd_eval(args, scenario: str | None = None) -> int:
     if overrides:
         thresholds = replace(cfg.motion_thresholds, **overrides)
         cfg = replace(cfg, motion_thresholds=thresholds)
-    payload, text = run_scenario(cfg, threads=args.threads)
+    payload, text = run_scenario(cfg)
     if args.out:
         write_report(args.out, payload, text)
         print(f"wrote report to {Path(args.out) / 'report.json'}")
@@ -208,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for training")
+                       help="ignored; kept so existing command lines still parse")
 
     p = sub.add_parser("simulate", help="render a labeled synthetic dataset")
     common(p)
@@ -243,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-s", type=float, default=12.0)
     p.add_argument("--tolerance-s", type=float, default=1.0)
     p.add_argument("--truth", default=None,
-                   help="truth events JSONL (time_s, label) to score against")
+                   help="truth events JSONL (time_s, label, stream) to score "
+                        "against; stream is the 0-based recording index, default 0")
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("eval", help="run the scenario configured in --config")

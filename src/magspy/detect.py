@@ -18,7 +18,7 @@ import numpy as np
 from .forest import ForestModel, _predict_labels
 from .metrics import ConfusionCounts
 from .preprocess import _round_half_up, normalize_unit_range
-from .traces import Trace1D
+from .traces import Trace1D, _frozen_array, _positive_rate
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,14 +35,9 @@ class ActivityPattern:
     class_label: str
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64, copy=True)
-        if v.ndim != 1 or v.size == 0 or not np.isfinite(v).all():
-            raise ValueError("pattern values must be a non-empty finite 1-D sequence")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        if self.rate_hz <= 0:
-            raise ValueError("rate_hz must be positive")
-        object.__setattr__(self, "rate_hz", float(self.rate_hz))
+        object.__setattr__(self, "values",
+                           _frozen_array(self.values, name="pattern values"))
+        object.__setattr__(self, "rate_hz", _positive_rate(self.rate_hz))
 
     def __len__(self) -> int:
         return self.values.size
@@ -56,11 +51,9 @@ class CorrelationSeries:
     rate_hz: float
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64, copy=True)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("series must be non-empty")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values",
+                           _frozen_array(self.values, name="series values"))
+        object.__setattr__(self, "rate_hz", _positive_rate(self.rate_hz))
 
     def __len__(self) -> int:
         return self.values.size
@@ -102,21 +95,17 @@ def average_pattern(traces, class_label: str) -> ActivityPattern:
     return ActivityPattern(mean - mean.mean(), rate, class_label)
 
 
-def cross_correlate(stream: Trace1D, pattern: ActivityPattern,
-                    center_stream: bool = True) -> CorrelationSeries:
+def cross_correlate(stream: Trace1D, pattern: ActivityPattern) -> CorrelationSeries:
     """Sliding dot product c[k] = sum_n (t[n+k] - mean(t)) * p[n].
 
     The stream is mean-centered before the sum so the series behaves like a
-    matched filter instead of tracking the baseline; pass
-    ``center_stream=False`` for the raw formula-literal variant.
+    matched filter instead of tracking the baseline.
     """
     if len(pattern) > len(stream):
         raise ValueError("pattern is longer than the stream")
     if pattern.rate_hz != stream.rate_hz:
         raise ValueError("pattern and stream rates differ")
-    t = stream.values
-    if center_stream:
-        t = t - t.mean()
+    t = stream.values - stream.values.mean()
     c = np.correlate(t, pattern.values, mode="valid")
     return CorrelationSeries(c, stream.rate_hz)
 

@@ -4,7 +4,7 @@ Scenarios: closed-world classification, open-world monitored-set detection,
 sampling-rate sweep, continuous-stream target detection, movement
 robustness, and device SNR calibration. Every run is a pure function of its
 configuration (including the seed), so reports are byte-identical across
-repeats and thread counts.
+repeats.
 
 The classification scenarios share one staged pipeline: render labeled
 recordings (``_render_class_traces``), split them (``_split``), fit a forest
@@ -144,15 +144,18 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         kwargs = {}
-        for name, value in obj.items():
-            if name in _NESTED_FIELDS:
-                if value:
-                    kwargs[name] = _NESTED_FIELDS[name](value, obj.get("seed", 0))
-            elif name in ("rates", "gains"):
-                kwargs[name] = tuple(value)
-            else:
-                kwargs[name] = value
-        return cls(**kwargs)
+        try:
+            for name, value in obj.items():
+                if name in _NESTED_FIELDS:
+                    if value:
+                        kwargs[name] = _NESTED_FIELDS[name](value, obj.get("seed", 0))
+                elif name in ("rates", "gains"):
+                    kwargs[name] = tuple(value)
+                else:
+                    kwargs[name] = value
+            return cls(**kwargs)
+        except TypeError as exc:
+            raise ValueError(f"invalid config: {exc}") from exc
 
 
 def _child_seed(root: int, *parts) -> int:
@@ -203,6 +206,9 @@ def _split(cfg: ExperimentConfig, labels, class_names) -> tuple[tuple, tuple]:
     dataset = Dataset(tuple(enumerate(labels)), tuple(class_names))
     train, test = split_dataset(dataset, cfg.train_fraction,
                                 seed=_child_seed(cfg.seed, "split"))
+    if not train.items or not test.items:
+        raise ValueError(f"train_fraction {cfg.train_fraction} leaves the "
+                         f"{'training' if test.items else 'test'} split empty")
     return train.items, test.items
 
 
@@ -221,7 +227,7 @@ def _training_features(traces, labels, bins: int) -> list:
 
 
 def _fit(cfg: ExperimentConfig, traces, labels, class_names, bins: int,
-         threads: int, search: str | None = "plain"):
+         search: str | None = "plain"):
     """Fit stage: pick a forest config, then grow it on augmented training rows.
 
     With ``cfg.grid`` set, cross-validation picks the config on the
@@ -240,7 +246,7 @@ def _fit(cfg: ExperimentConfig, traces, labels, class_names, bins: int,
                            train.class_names)
         chosen, _ = cross_validate_grid(rows, cfg.grid, cfg.cv_folds,
                                         seed=_child_seed(cfg.seed, "cv"))
-    return train_forest(train, chosen, threads=threads), chosen
+    return train_forest(train, chosen), chosen
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +267,7 @@ class _ClosedWorldBundle:
     report: EvalReport
 
 
-def _closed_world_core(cfg: ExperimentConfig, threads: int = 1) -> _ClosedWorldBundle:
+def _closed_world_core(cfg: ExperimentConfig) -> _ClosedWorldBundle:
     profiles = cfg.resolved_profiles()
     class_ids = _class_ids("class", cfg.class_count)
     recordings, traces, patterns, labels, profile_ids = _render_class_traces(
@@ -270,7 +276,7 @@ def _closed_world_core(cfg: ExperimentConfig, threads: int = 1) -> _ClosedWorldB
 
     bins = min(cfg.bin_count, len(traces[0]))
     fit_traces, fit_labels = _take(traces, train_items)
-    model, chosen = _fit(cfg, fit_traces, fit_labels, class_ids, bins, threads)
+    model, chosen = _fit(cfg, fit_traces, fit_labels, class_ids, bins)
     test_traces, test_labels = _take(traces, test_items)
     predicted, _ = _predict_labels(model, test_traces, bins)
     pairs = list(zip(test_labels, predicted))
@@ -288,12 +294,12 @@ def _closed_world_core(cfg: ExperimentConfig, threads: int = 1) -> _ClosedWorldB
                               profile_ids, train_items, test_items, model, report)
 
 
-def run_closed_world(cfg: ExperimentConfig, threads: int = 1) -> EvalReport:
+def run_closed_world(cfg: ExperimentConfig) -> EvalReport:
     """Closed-world protocol: render, preprocess, split, train, evaluate."""
-    return _closed_world_core(cfg, threads).report
+    return _closed_world_core(cfg).report
 
 
-def run_open_world(cfg: ExperimentConfig, threads: int = 1) -> EvalReport:
+def run_open_world(cfg: ExperimentConfig) -> EvalReport:
     """Open-world protocol: recognize a monitored set against unseen background.
 
     Training pools non-monitored training classes under the reserved
@@ -321,7 +327,7 @@ def run_open_world(cfg: ExperimentConfig, threads: int = 1) -> EvalReport:
             cfg, unmonitored_train, cfg.traces_per_class, profiles, "ow-pool")
         fit_traces += pool
         fit_labels += [UNMONITORED_LABEL] * len(pool)
-    model, chosen = _fit(cfg, fit_traces, fit_labels, class_names, bins, threads,
+    model, chosen = _fit(cfg, fit_traces, fit_labels, class_names, bins,
                          search="augmented")
 
     test_traces, test_labels = _take(traces, test_items)
@@ -340,17 +346,15 @@ def run_open_world(cfg: ExperimentConfig, threads: int = 1) -> EvalReport:
     return report
 
 
-def run_sampling_sweep(cfg: ExperimentConfig, rates=None,
-                       threads: int = 1) -> list[tuple[float, float]]:
-    """Closed-world accuracy at each sampling rate, sharing traces and split.
+def run_sampling_sweep(cfg: ExperimentConfig) -> list[tuple[float, float]]:
+    """Closed-world accuracy at each ``cfg.rates`` entry, sharing traces and split.
 
     Traces are decimated before feature extraction; the feature count is
     clamped to the decimated trace length when it falls below ``bin_count``.
     At the device rate the traces made while rendering are reused instead
     of preprocessing every recording again.
     """
-    rates = tuple(cfg.rates if rates is None else rates)
-    for rate in rates:
+    for rate in cfg.rates:
         if rate > cfg.rate_hz:
             raise ValueError("sweep rates cannot exceed the device rate")
     profiles = cfg.resolved_profiles()
@@ -360,13 +364,12 @@ def run_sampling_sweep(cfg: ExperimentConfig, rates=None,
     train_items, test_items = _split(cfg, labels, class_ids)
 
     results: list[tuple[float, float]] = []
-    for rate in rates:
+    for rate in cfg.rates:
         traces = (native if rate == cfg.rate_hz
                   else [preprocess_recording(rec, rate) for rec in recordings])
         bins = min(cfg.bin_count, len(traces[0]))
         fit_traces, fit_labels = _take(traces, train_items)
-        model, _ = _fit(cfg, fit_traces, fit_labels, class_ids, bins, threads,
-                        search=None)
+        model, _ = _fit(cfg, fit_traces, fit_labels, class_ids, bins, search=None)
         test_traces, test_labels = _take(traces, test_items)
         predicted, _ = _predict_labels(model, test_traces, bins)
         accuracy = float(np.mean([p == label
@@ -392,7 +395,7 @@ class ContinuousResult:
         return asdict(self)
 
 
-def run_continuous(cfg: ExperimentConfig, threads: int = 1) -> ContinuousResult:
+def run_continuous(cfg: ExperimentConfig) -> ContinuousResult:
     """Continuous-usage protocol: detect a target activity inside long streams.
 
     Each stream embeds the target signature once and ``distractor_count``
@@ -403,7 +406,7 @@ def run_continuous(cfg: ExperimentConfig, threads: int = 1) -> ContinuousResult:
     0.05 s), scored against the true offset with the configured tolerance,
     and classified with the closed-world model.
     """
-    core = _closed_world_core(cfg, threads)
+    core = _closed_world_core(cfg)
     rate = cfg.rate_hz
     target = core.class_ids[0]
 
@@ -497,7 +500,7 @@ class MovementResult:
         return asdict(self)
 
 
-def run_movement(cfg: ExperimentConfig, threads: int = 1) -> MovementResult:
+def run_movement(cfg: ExperimentConfig) -> MovementResult:
     """Movement robustness: motion-disturbed test traces, filtered by gyroscope.
 
     The model is trained on stationary traces only. A ``motion_fraction``
@@ -505,7 +508,7 @@ def run_movement(cfg: ExperimentConfig, threads: int = 1) -> MovementResult:
     pulses; accuracy is reported before filtering, after filtering, along
     with the rejected fraction.
     """
-    core = _closed_world_core(cfg, threads)
+    core = _closed_world_core(cfg)
     rate = cfg.rate_hz
     bins = min(cfg.bin_count, len(core.traces[0]))
     n_test = len(core.test_items)
@@ -625,34 +628,29 @@ def _snr_text(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# scenario -> (runner(cfg, threads), text formatter). The runners look the
-# scenario functions up by name at call time, so wrappers installed on this
-# module's functions (profilers, tracers) see every run.
+# scenario -> (runner(cfg), text formatter). The runners look the scenario
+# functions up by name at call time, so wrappers installed on this module's
+# functions (profilers, tracers) see every run.
 _SCENARIO_REGISTRY = {
-    "closed-world": (lambda cfg, threads: run_closed_world(cfg, threads),
-                     format_report_text),
-    "open-world": (lambda cfg, threads: run_open_world(cfg, threads),
-                   _open_world_text),
-    "sweep": (lambda cfg, threads: [
-                  {"rate_hz": r, "accuracy": a}
-                  for r, a in run_sampling_sweep(cfg, threads=threads)],
-              _sweep_text),
-    "continuous": (lambda cfg, threads: run_continuous(cfg, threads),
-                   _continuous_text),
-    "movement": (lambda cfg, threads: run_movement(cfg, threads), _movement_text),
-    "snr": (lambda cfg, threads: run_snr_calibration(cfg), _snr_text),
+    "closed-world": (lambda cfg: run_closed_world(cfg), format_report_text),
+    "open-world": (lambda cfg: run_open_world(cfg), _open_world_text),
+    "sweep": (lambda cfg: [{"rate_hz": r, "accuracy": a}
+                           for r, a in run_sampling_sweep(cfg)], _sweep_text),
+    "continuous": (lambda cfg: run_continuous(cfg), _continuous_text),
+    "movement": (lambda cfg: run_movement(cfg), _movement_text),
+    "snr": (lambda cfg: run_snr_calibration(cfg), _snr_text),
 }
 _SCENARIOS = tuple(_SCENARIO_REGISTRY)
 
 
-def run_scenario(cfg: ExperimentConfig, threads: int = 1) -> tuple[dict, str]:
+def run_scenario(cfg: ExperimentConfig) -> tuple[dict, str]:
     """Run the configured scenario; returns (report payload, rendered text).
 
     The payload holds the config plus the scenario's outcome under
     ``report`` (an EvalReport), ``rows`` (a table) or ``result``.
     """
     runner, formatter = _SCENARIO_REGISTRY[cfg.scenario]
-    outcome = runner(cfg, threads)
+    outcome = runner(cfg)
     payload: dict = {"scenario": cfg.scenario, "config": cfg.to_dict()}
     if isinstance(outcome, list):
         payload["rows"] = outcome

@@ -9,22 +9,21 @@ normalized leaf histograms across trees.
 Determinism contract: training canonicalizes the input order by
 (label, feature values), per-tree random streams are derived up front from
 the config seed, and within a tree all draws happen in pre-order node
-creation order. Models are therefore bit-identical across runs, input
-permutations (without bootstrap), and thread counts.
+creation order. Models are therefore bit-identical across runs and input
+permutations (without bootstrap).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .preprocess import _round_half_up
-from .traces import Dataset, Trace1D
+from .traces import Dataset, Trace1D, _frozen_array
 
 #: Default number of binned-mean features per trace.
 DEFAULT_BIN_COUNT = 50
@@ -40,13 +39,8 @@ class FeatureVector:
     label: str | None = None
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64, copy=True)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("feature values must be a non-empty 1-D sequence")
-        if not np.isfinite(v).all():
-            raise ValueError("feature values contain non-finite entries")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values",
+                           _frozen_array(self.values, name="feature values"))
 
     def __len__(self) -> int:
         return self.values.size
@@ -89,7 +83,10 @@ class ForestConfig:
         unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown forest config fields: {sorted(unknown)}")
-        return cls(**obj)
+        try:
+            return cls(**obj)
+        except TypeError as exc:
+            raise ValueError(f"invalid forest config: {exc}") from exc
 
 
 def default_config_grid(seed: int = 0) -> tuple[ForestConfig, ...]:
@@ -289,24 +286,17 @@ def _dataset_to_arrays(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def train_forest(train: Dataset, config: ForestConfig, threads: int = 1) -> ForestModel:
+def train_forest(train: Dataset, config: ForestConfig) -> ForestModel:
     """Grow a forest on a dataset of FeatureVector items.
 
-    Trees may be built in parallel; the result is bit-identical to the
-    sequential construction because every tree owns a pre-derived stream.
+    Every tree grows from its own stream, spawned up front from the config
+    seed.
     """
     x, y = _dataset_to_arrays(train)
     n_classes = len(train.class_names)
     streams = np.random.SeedSequence(config.seed).spawn(config.n_estimators)
-
-    def build(i: int) -> _Tree:
-        return _grow_tree(x, y, n_classes, config, np.random.default_rng(streams[i]))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = tuple(pool.map(build, range(config.n_estimators)))
-    else:
-        trees = tuple(build(i) for i in range(config.n_estimators))
+    trees = tuple(_grow_tree(x, y, n_classes, config, np.random.default_rng(s))
+                  for s in streams)
     return ForestModel(trees=trees, class_names=train.class_names,
                        n_features=x.shape[1], config=config)
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .preprocess import pca_first_component
-from .traces import CpuPattern, SensorRecording
+from .traces import CpuPattern, SensorRecording, _frozen_array, _positive_rate
 
 #: A plausible ambient geomagnetic field, microtesla.
 DEFAULT_BASELINE_FIELD = (20.0, 5.0, 43.0)
@@ -60,24 +60,21 @@ class DeviceProfile:
     gyro_noise_std: float = 0.0
 
     def __post_init__(self):
-        baseline = np.array(self.baseline_field, dtype=np.float64, copy=True)
-        coupling = np.array(self.coupling_dir, dtype=np.float64, copy=True)
+        baseline = _frozen_array(self.baseline_field)
+        coupling = _frozen_array(self.coupling_dir)
         if baseline.shape != (3,) or coupling.shape != (3,):
             raise ValueError("baseline_field and coupling_dir must be 3-vectors")
         if abs(float(np.linalg.norm(coupling)) - 1.0) > 1e-9:
             raise ValueError("coupling_dir must be a unit vector")
-        if self.gain < 0 or self.noise_std < 0 or self.gyro_noise_std < 0:
-            raise ValueError("gain and noise levels must be non-negative")
-        if self.rate_hz <= 0:
-            raise ValueError("rate_hz must be positive")
-        baseline.setflags(write=False)
-        coupling.setflags(write=False)
+        if not all(math.isfinite(v) and v >= 0
+                   for v in (self.gain, self.noise_std, self.gyro_noise_std)):
+            raise ValueError("gain and noise levels must be finite and non-negative")
         object.__setattr__(self, "baseline_field", baseline)
         object.__setattr__(self, "coupling_dir", coupling)
         object.__setattr__(self, "gain", float(self.gain))
         object.__setattr__(self, "noise_std", float(self.noise_std))
         object.__setattr__(self, "gyro_noise_std", float(self.gyro_noise_std))
-        object.__setattr__(self, "rate_hz", float(self.rate_hz))
+        object.__setattr__(self, "rate_hz", _positive_rate(self.rate_hz))
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,14 +87,16 @@ class RotationEvent:
     axis: np.ndarray
 
     def __post_init__(self):
+        for name in ("start_index", "duration_samples"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if self.start_index < 0 or self.duration_samples < 1:
             raise ValueError("event must have non-negative start and positive duration")
-        if self.peak_rate_rad_s < 0:
-            raise ValueError("peak rate must be non-negative")
-        axis = np.array(self.axis, dtype=np.float64, copy=True)
+        if not math.isfinite(self.peak_rate_rad_s) or self.peak_rate_rad_s < 0:
+            raise ValueError("peak rate must be finite and non-negative")
+        axis = _frozen_array(self.axis)
         if axis.shape != (3,) or abs(float(np.linalg.norm(axis)) - 1.0) > 1e-9:
             raise ValueError("axis must be a 3-component unit vector")
-        axis.setflags(write=False)
         object.__setattr__(self, "axis", axis)
 
 
@@ -395,18 +394,21 @@ def profile_from_dict(obj: dict) -> DeviceProfile:
     unknown = set(obj) - known
     if unknown:
         raise ValueError(f"unknown device profile fields: {sorted(unknown)}")
-    if "snr_db" in obj:
-        extra = {k: obj[k] for k in ("noise_std", "rate_hz", "baseline_field",
-                                     "coupling_dir", "gyro_noise_std") if k in obj}
-        return profile_for_snr(obj["snr_db"], **extra)
-    return DeviceProfile(
-        baseline_field=obj.get("baseline_field", DEFAULT_BASELINE_FIELD),
-        coupling_dir=obj.get("coupling_dir", DEFAULT_COUPLING_DIR),
-        gain=obj["gain"],
-        noise_std=obj.get("noise_std", 1.0),
-        rate_hz=obj.get("rate_hz", 100.0),
-        gyro_noise_std=obj.get("gyro_noise_std", 0.0),
-    )
+    try:
+        if "snr_db" in obj:
+            extra = {k: obj[k] for k in ("noise_std", "rate_hz", "baseline_field",
+                                         "coupling_dir", "gyro_noise_std") if k in obj}
+            return profile_for_snr(obj["snr_db"], **extra)
+        return DeviceProfile(
+            baseline_field=obj.get("baseline_field", DEFAULT_BASELINE_FIELD),
+            coupling_dir=obj.get("coupling_dir", DEFAULT_COUPLING_DIR),
+            gain=obj["gain"],
+            noise_std=obj.get("noise_std", 1.0),
+            rate_hz=obj.get("rate_hz", 100.0),
+            gyro_noise_std=obj.get("gyro_noise_std", 0.0),
+        )
+    except TypeError as exc:
+        raise ValueError(f"invalid device profile: {exc}") from exc
 
 
 def load_device_profile(path) -> DeviceProfile:
@@ -414,12 +416,13 @@ def load_device_profile(path) -> DeviceProfile:
 
 
 def motion_script_from_dict(obj: dict) -> MotionScript:
-    events = [
-        RotationEvent(ev["start_index"], ev["duration_samples"],
-                      ev["peak_rate_rad_s"], ev["axis"])
-        for ev in obj.get("rotation_events", [])
-    ]
-    return MotionScript(tuple(events))
+    try:
+        return MotionScript(tuple(
+            RotationEvent(ev["start_index"], ev["duration_samples"],
+                          ev["peak_rate_rad_s"], ev["axis"])
+            for ev in obj.get("rotation_events", [])))
+    except TypeError as exc:
+        raise ValueError(f"invalid motion script: {exc}") from exc
 
 
 def load_motion_script(path) -> MotionScript:

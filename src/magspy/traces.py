@@ -3,7 +3,7 @@
 Units are fixed package-wide: magnetometer samples in microtesla, gyroscope
 samples in rad/s, rates in Hz. Sampling is uniform; ``rate_hz`` is
 authoritative and no per-sample timestamps are kept. All types are immutable
-after construction and safe to share across threads.
+after construction, with read-only arrays, so they are safe to share.
 """
 
 from __future__ import annotations
@@ -19,10 +19,28 @@ import numpy as np
 UNMONITORED_LABEL = "unmonitored"
 
 
-def _frozen_array(values, *, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype, copy=True)
+def _frozen_array(values, *, name: str | None = None) -> np.ndarray:
+    """A read-only float64 copy of ``values``.
+
+    With ``name`` given, the copy must also be a non-empty, finite 1-D array;
+    ``name`` opens the error message.
+    """
+    arr = np.array(values, dtype=np.float64, copy=True)
+    if name is not None:
+        if arr.ndim != 1 or arr.size == 0:
+            raise ValueError(f"{name} must be a non-empty 1-D sequence")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} contain non-finite entries")
     arr.setflags(write=False)
     return arr
+
+
+def _positive_rate(rate_hz) -> float:
+    """``rate_hz`` as a float, which must be finite and positive."""
+    rate = float(rate_hz)
+    if not np.isfinite(rate) or rate <= 0:
+        raise ValueError("rate_hz must be positive")
+    return rate
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,18 +60,17 @@ class SensorRecording:
     meta: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        mag = np.array(self.mag, dtype=np.float64, copy=True)
+        mag = _frozen_array(self.mag)
         if mag.ndim != 2 or mag.shape[1] != 3:
             raise ValueError("mag must be a sequence of 3-component samples")
         if mag.shape[0] == 0:
             raise ValueError("mag must be non-empty")
         if not np.isfinite(mag).all():
             raise ValueError("mag contains non-finite values")
-        mag.setflags(write=False)
         object.__setattr__(self, "mag", mag)
 
         if self.gyro is not None:
-            gyro = np.array(self.gyro, dtype=np.float64, copy=True)
+            gyro = _frozen_array(self.gyro)
             if gyro.ndim != 2 or gyro.shape[1] != 3:
                 raise ValueError("gyro must be a sequence of 3-component samples")
             if gyro.shape[0] != mag.shape[0]:
@@ -62,13 +79,9 @@ class SensorRecording:
                 )
             if not np.isfinite(gyro).all():
                 raise ValueError("gyro contains non-finite values")
-            gyro.setflags(write=False)
             object.__setattr__(self, "gyro", gyro)
 
-        rate = float(self.rate_hz)
-        if not np.isfinite(rate) or rate <= 0:
-            raise ValueError("rate_hz must be positive")
-        object.__setattr__(self, "rate_hz", rate)
+        object.__setattr__(self, "rate_hz", _positive_rate(self.rate_hz))
 
         if self.label is not None and not isinstance(self.label, str):
             raise ValueError("label must be a string when present")
@@ -94,19 +107,11 @@ class CpuPattern:
     rate_hz: float
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64, copy=True)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("values must be a non-empty 1-D sequence")
-        if not np.isfinite(v).all():
-            raise ValueError("values contain non-finite entries")
+        v = _frozen_array(self.values, name="values")
         if v.min() < 0.0 or v.max() > 1.0:
             raise ValueError("utilization values must lie in [0, 1]")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        rate = float(self.rate_hz)
-        if not np.isfinite(rate) or rate <= 0:
-            raise ValueError("rate_hz must be positive")
-        object.__setattr__(self, "rate_hz", rate)
+        object.__setattr__(self, "rate_hz", _positive_rate(self.rate_hz))
 
     def __len__(self) -> int:
         return self.values.size
@@ -129,19 +134,11 @@ class Trace1D:
     normalized: bool = False
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64, copy=True)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("values must be a non-empty 1-D sequence")
-        if not np.isfinite(v).all():
-            raise ValueError("values contain non-finite entries")
+        v = _frozen_array(self.values, name="values")
         if self.normalized and (v.min() < 0.0 or v.max() > 1.0):
             raise ValueError("normalized trace has values outside [0, 1]")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        rate = float(self.rate_hz)
-        if not np.isfinite(rate) or rate <= 0:
-            raise ValueError("rate_hz must be positive")
-        object.__setattr__(self, "rate_hz", rate)
+        object.__setattr__(self, "rate_hz", _positive_rate(self.rate_hz))
 
     def __len__(self) -> int:
         return self.values.size

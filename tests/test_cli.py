@@ -157,6 +157,56 @@ class TestDetectCommand:
         assert {"tp", "fp", "fn"} <= set(scores)
         assert scores["tp"] + scores["fn"] == 1
 
+    @staticmethod
+    def _event_streams(tmp_path, starts):
+        """One recording per start index, each holding one 1 s event at 100 Hz."""
+        shape = np.r_[np.ones(50), np.zeros(20), np.ones(30)]
+        recordings = []
+        for i, start in enumerate(starts):
+            cpu = np.zeros(2000)
+            cpu[start:start + shape.size] = shape
+            mag = np.column_stack([50 + 5 * cpu, np.full(2000, 20.0),
+                                   np.full(2000, 40.0)])
+            mag += np.random.default_rng(i).normal(0.0, 0.05, mag.shape)
+            recordings.append(SensorRecording(f"d{i}", 100.0, mag))
+        data = tmp_path / "streams.jsonl"
+        save_recordings(recordings, data)
+        ppath = tmp_path / "pattern.json"
+        save_pattern(ActivityPattern(shape - shape.mean(), 100.0, "x"), ppath)
+        return data, ppath
+
+    def _score(self, tmp_path, data, ppath, truth_rows):
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text("".join(json.dumps(row) + "\n" for row in truth_rows))
+        out_dir = tmp_path / "det"
+        rc = main(["detect", "--pattern", str(ppath), "--data", str(data),
+                   "--min-height", "8", "--min-prominence", "4",
+                   "--truth", str(truth), "--tolerance-s", "0.5",
+                   "--out", str(out_dir)])
+        scores = out_dir / "scores.json"
+        return rc, json.loads(scores.read_text()) if rc == 0 else None
+
+    def test_detect_scores_each_stream_against_its_truth(self, tmp_path, capsys):
+        data, ppath = self._event_streams(tmp_path, [1000, 1000])
+        rc, scores = self._score(tmp_path, data, ppath,
+                                 [{"stream": 0, "time_s": 10.0, "label": "x"},
+                                  {"stream": 1, "time_s": 10.0, "label": "x"}])
+        assert (rc, scores) == (0, {"tp": 2, "fp": 0, "fn": 0})
+
+    def test_detect_never_matches_across_streams(self, tmp_path, capsys):
+        # The only event at 15 s is in stream 1; truth places it in stream 0.
+        data, ppath = self._event_streams(tmp_path, [1000, 1500])
+        rc, scores = self._score(tmp_path, data, ppath,
+                                 [{"stream": 0, "time_s": 15.0}])
+        assert (rc, scores) == (0, {"tp": 0, "fp": 2, "fn": 1})
+
+    @pytest.mark.parametrize("stream", ["1", 1.0, 2, -1, True])
+    def test_detect_rejects_bad_truth_stream(self, tmp_path, capsys, stream):
+        data, ppath = self._event_streams(tmp_path, [1000, 1000])
+        rc, _ = self._score(tmp_path, data, ppath, [{"stream": stream, "time_s": 10.0}])
+        assert rc == 1
+        assert "stream must be an integer" in capsys.readouterr().err
+
     def test_simulate_with_motion_script(self, tmp_path, capsys):
         config = write_config(tmp_path, class_count=2, traces_per_class=2)
         script = tmp_path / "motion.json"
@@ -215,6 +265,14 @@ class TestEvalCommand:
         assert payload["scenario"] == "closed-world"
         assert (out_dir / "report.txt").exists()
 
+    def test_threads_flag_is_accepted_and_changes_nothing(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["eval", "--config", config, "--out", str(tmp_path / "a")]) == 0
+        assert main(["eval", "--config", config, "--out", str(tmp_path / "b"),
+                     "--threads", "3"]) == 0
+        assert (tmp_path / "a" / "report.json").read_bytes() == \
+            (tmp_path / "b" / "report.json").read_bytes()
+
     def test_eval_snr_scenario(self, tmp_path, capsys):
         config = write_config(tmp_path, scenario="snr",
                               gains=[0.0, 4.0], calibration_cycles=5)
@@ -244,6 +302,29 @@ class TestEvalCommand:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("kind, doc", [
+        ("motion-script", '{"rotation_events": [{"start_index": 50, '
+         '"duration_samples": 100, "peak_rate_rad_s": NaN, "axis": [0, 0, 1]}]}'),
+        ("motion-script", '{"rotation_events": [{"start_index": 1.5, '
+         '"duration_samples": 100, "peak_rate_rad_s": 2.0, "axis": [0, 0, 1]}]}'),
+        ("device-profile", '{"gain": "3"}'),
+        ("device-profile", '{"gain": 3.0, "noise_std": NaN}'),
+        ("config", '{"class_count": "2", "traces_per_class": 2}'),
+    ], ids=["nan-peak-rate", "fractional-start-index", "string-gain",
+            "nan-noise-std", "string-class-count"])
+    def test_bad_outside_document_is_validation_error(self, tmp_path, capsys,
+                                                      kind, doc):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(doc)
+        config = (str(path) if kind == "config"
+                  else write_config(tmp_path, class_count=1, traces_per_class=1))
+        argv = ["simulate", "--config", config, "--out", str(tmp_path / "sim")]
+        if kind != "config":
+            argv += [f"--{kind}", str(path)]
+        assert main(argv) == 1
+        assert "magspy: error:" in capsys.readouterr().err
+        assert not (tmp_path / "sim" / "recordings.jsonl").exists()
+
     def test_missing_config_file_is_validation_error(self, tmp_path, capsys):
         assert main(["eval", "--config", str(tmp_path / "nope.json")]) == 1
 

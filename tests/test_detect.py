@@ -90,12 +90,6 @@ class TestCrossCorrelate:
             cross_correlate(Trace1D([1.0, 2.0], 2.0),
                             ActivityPattern([1.0], 1.0, "a"))
 
-    def test_uncentered_variant(self):
-        stream = Trace1D([1.0, 2.0, 3.0], 1.0)
-        pattern = ActivityPattern([1.0], 1.0, "a")
-        out = cross_correlate(stream, pattern, center_stream=False)
-        assert np.allclose(out.values, [1.0, 2.0, 3.0])
-
 
 class TestFindPeaks:
     def test_single_peak(self):

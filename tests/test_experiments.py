@@ -98,9 +98,16 @@ class TestClosedWorld:
     def test_identical_seeds_identical_reports(self):
         cfg = small_config()
         a = run_closed_world(cfg)
-        b = run_closed_world(cfg, threads=2)
+        b = run_closed_world(cfg)
         assert json.dumps(a.to_dict(), sort_keys=True) == \
             json.dumps(b.to_dict(), sort_keys=True)
+
+    @pytest.mark.parametrize("fraction, empty", [(0.8, "test"), (0.2, "training")])
+    def test_empty_split_names_train_fraction(self, fraction, empty):
+        # 2 traces per class round to 2 training traces at 0.8 and none at 0.2.
+        cfg = small_config(class_count=3, traces_per_class=2, train_fraction=fraction)
+        with pytest.raises(ValueError, match=f"train_fraction .* {empty} split empty"):
+            run_closed_world(cfg)
 
     def test_different_seed_changes_data(self):
         from magspy.experiments import _class_ids, _render_class_traces
@@ -170,19 +177,19 @@ class TestOpenWorld:
 
 class TestSamplingSweep:
     def test_native_rate_matches_closed_world(self):
-        cfg = small_config()
-        rows = run_sampling_sweep(cfg, rates=(100.0,))
+        cfg = small_config(rates=(100.0,))
+        rows = run_sampling_sweep(cfg)
         closed = run_closed_world(cfg)
         assert rows[0][1] == closed.accuracy
 
     def test_duplicate_rates_duplicate_results(self):
-        cfg = small_config(class_count=3, traces_per_class=8)
-        rows = run_sampling_sweep(cfg, rates=(50.0, 50.0))
+        cfg = small_config(class_count=3, traces_per_class=8, rates=(50.0, 50.0))
+        rows = run_sampling_sweep(cfg)
         assert rows[0] == rows[1]
 
     def test_rate_above_native_rejected(self):
         with pytest.raises(ValueError):
-            run_sampling_sweep(small_config(), rates=(200.0,))
+            run_sampling_sweep(small_config(rates=(200.0,)))
 
     def test_native_rate_preprocesses_each_recording_once(self, monkeypatch):
         import magspy.experiments as experiments
@@ -194,8 +201,8 @@ class TestSamplingSweep:
             return original(rec, *args, **kwargs)
 
         monkeypatch.setattr(experiments, "preprocess_recording", counting)
-        cfg = small_config(class_count=3, traces_per_class=6)
-        run_sampling_sweep(cfg, rates=(cfg.rate_hz,))
+        cfg = small_config(class_count=3, traces_per_class=6, rates=(100.0,))
+        run_sampling_sweep(cfg)
         assert len(calls) == 3 * 6
         assert len({id(rec) for rec in calls}) == 3 * 6
 
@@ -271,7 +278,7 @@ class TestReports:
     def test_report_bytes_reproducible(self, tmp_path):
         cfg = small_config(class_count=3, traces_per_class=6)
         for name in ("a", "b"):
-            payload, text = run_scenario(cfg, threads=1 if name == "a" else 3)
+            payload, text = run_scenario(cfg)
             write_report(tmp_path / name, payload, text)
         assert (tmp_path / "a" / "report.json").read_bytes() == \
             (tmp_path / "b" / "report.json").read_bytes()

@@ -101,15 +101,13 @@ class TestTrainAndPredict:
         _, probs = predict_many(model, rng.normal(0, 1, (200, 3)))
         assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
 
-    def test_deterministic_across_runs_and_threads(self):
+    def test_deterministic_across_runs(self):
         rng = np.random.default_rng(1)
         x = rng.normal(0, 1, (30, 4))
         labels = ["A" if v[0] > 0 else "B" for v in x]
         data = feature_dataset(list(zip(x, labels)), ("A", "B"))
         config = ForestConfig(n_estimators=16, seed=5)
-        models = [train_forest(data, config),
-                  train_forest(data, config),
-                  train_forest(data, config, threads=4)]
+        models = [train_forest(data, config) for _ in range(3)]
         ref = models[0]
         for other in models[1:]:
             for ta, tb in zip(ref.trees, other.trees):
