@@ -32,7 +32,8 @@ from .simulate import (DeviceProfile, _stable_seed, estimate_snr,
                        perturb_pattern, profile_for_snr, profile_from_dict,
                        random_motion_script, render_recording,
                        synth_square_pattern)
-from .traces import UNMONITORED_LABEL, CpuPattern, SensorRecording, Trace1D
+from .traces import (UNMONITORED_LABEL, CpuPattern, SensorRecording, Trace1D,
+                     _check_count)
 
 # Config fields read from nested JSON documents, as (value, seed) -> field
 # value. An empty or null document keeps the field's default.
@@ -117,8 +118,10 @@ class ExperimentConfig:
             raise ValueError(f"scenario must be one of {_SCENARIOS}")
         for name in ("class_count", "traces_per_class", "stream_count",
                      "background_traces_each", "cv_folds", "bin_count"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+            _check_count(name, getattr(self, name), 1)
+        for name in ("monitored_count", "unmonitored_train_count",
+                     "background_count", "distractor_count", "calibration_cycles"):
+            _check_count(name, getattr(self, name), 0)
         if self.duration_s <= 0 or self.rate_hz <= 0 or self.stream_s <= 0:
             raise ValueError("durations and rates must be positive")
         if self.scenario == "open-world" and self.monitored_count > self.class_count:

@@ -6,6 +6,12 @@ feature subset by scanning midpoints between consecutive distinct sorted
 values; leaves keep class-count histograms, and prediction averages the
 normalized leaf histograms across trees.
 
+Each node scans all of its candidate features in one vectorized pass. The
+sums of squared class counts on either side of every cut are integer
+running sums, exact far below 2^53, so each Gini decrease is the same
+float, bit for bit, as a feature-by-feature scan over float class counts
+gives: the split search is faster without moving any model byte.
+
 Determinism contract: training canonicalizes the input order by
 (label, feature values), per-tree random streams are derived up front from
 the config seed, and within a tree all draws happen in pre-order node
@@ -23,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .preprocess import _round_half_up
-from .traces import Dataset, Trace1D, _frozen_array
+from .traces import Dataset, Trace1D, _check_count, _frozen_array
 
 #: Default number of binned-mean features per trace.
 DEFAULT_BIN_COUNT = 50
@@ -66,12 +72,11 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_estimators < 1:
-            raise ValueError("n_estimators must be at least 1")
+        _check_count("n_estimators", self.n_estimators, 1)
+        _check_count("max_depth", self.max_depth, 1)
+        _check_count("seed", self.seed, 0)
         if self.max_features not in _MAX_FEATURES_RULES:
             raise ValueError(f"max_features must be one of {_MAX_FEATURES_RULES}")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
         if self.min_impurity_decrease < 0:
             raise ValueError("min_impurity_decrease must be non-negative")
 
@@ -173,40 +178,55 @@ def _subset_size(rule: str, n_features: int) -> int:
     return min(n_features, max(1, math.ceil(math.sqrt(n_features))))
 
 
-def _best_split(x_columns: np.ndarray, y: np.ndarray, hist: np.ndarray,
-                candidates: np.ndarray, n_classes: int):
-    """Best (feature, threshold, decrease) over candidate features, or None.
+def _best_split(x: np.ndarray, y: np.ndarray, hist: np.ndarray,
+                candidates: np.ndarray):
+    """Best (feature, threshold, decrease) over the candidate features, or None.
 
+    ``x[:, j]`` holds the node's values of feature ``candidates[j]``
+    (``candidates`` ascending), ``y`` the node's class codes and ``hist``
+    their integer class histogram; the node has at least two samples.
     Thresholds are midpoints between consecutive distinct sorted values.
     Ties keep the first candidate in ascending feature order and, within a
     feature, the lowest threshold.
+
+    All candidates are scanned in one pass. Walking a sorted column, the
+    sample of class c that is the r-th of its class to pass from the right
+    side to the left raises the left sum of squared class counts by 2r + 1
+    and changes the right one by 1 - 2(h_c - r), so both sums are integer
+    running sums. They never exceed n^2 < 2^53, so each converts exactly
+    to the float that summing the squared float class counts gives, and
+    every Gini decrease is bit-identical to the one a per-feature scan over
+    class-count prefixes computes with the same expression.
     """
-    n = y.size
-    gini_parent = 1.0 - float((hist * hist).sum()) / (n * n)
-    best = None
-    for f in candidates:
-        x = x_columns[:, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        ys = y[order]
-        cuts = np.flatnonzero(xs[:-1] < xs[1:])
-        if cuts.size == 0:
-            continue
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), ys] = 1.0
-        prefix = np.cumsum(onehot, axis=0)
-        n_left = (cuts + 1).astype(np.float64)
-        n_right = n - n_left
-        left_counts = prefix[cuts]
-        right_counts = hist - left_counts
-        gini_left = 1.0 - (left_counts * left_counts).sum(axis=1) / (n_left * n_left)
-        gini_right = 1.0 - (right_counts * right_counts).sum(axis=1) / (n_right * n_right)
-        decrease = gini_parent - (n_left / n) * gini_left - (n_right / n) * gini_right
-        i = int(np.argmax(decrease))
-        if best is None or decrease[i] > best[2]:
-            threshold = (xs[cuts[i]] + xs[cuts[i] + 1]) / 2.0
-            best = (int(f), float(threshold), float(decrease[i]))
-    return best
+    n, k = x.shape
+    cols = np.arange(k)
+    order = x.argsort(axis=0)
+    xs = x[order, cols]
+    ys = y[order]
+    # Rank of each sample among the samples of its class, in sorted order:
+    # a stable sort by class lists each class's positions in ascending order.
+    within = np.arange(n) - np.repeat(np.cumsum(hist) - hist, hist)
+    rank = np.empty_like(ys)
+    rank[ys.argsort(axis=0, kind="stable"), cols] = within[:, None]
+    step = 2 * rank[:-1] + 1
+    sq_sum = int(hist @ hist)
+    sq_left = step.cumsum(axis=0)
+    sq_right = sq_sum + (step - 2 * hist[ys[:-1]]).cumsum(axis=0)
+    n_left = np.arange(1, n, dtype=np.float64)[:, None]
+    n_right = n - n_left
+    gini_parent = 1.0 - float(sq_sum) / (n * n)
+    gini_left = 1.0 - sq_left / (n_left * n_left)
+    gini_right = 1.0 - sq_right / (n_right * n_right)
+    decrease = gini_parent - (n_left / n) * gini_left - (n_right / n) * gini_right
+    # Only a position between two distinct sorted values is a cut.
+    decrease[xs[:-1] == xs[1:]] = -np.inf
+    # Feature-major argmax: the first candidate holding the maximum, at its
+    # lowest threshold.
+    j, i = divmod(int(decrease.T.argmax()), n - 1)
+    if decrease[i, j] == -np.inf:
+        return None
+    threshold = (xs[i, j] + xs[i + 1, j]) / 2.0
+    return int(candidates[j]), float(threshold), float(decrease[i, j])
 
 
 def _grow_tree(x: np.ndarray, y: np.ndarray, n_classes: int, config: ForestConfig,
@@ -238,7 +258,7 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, n_classes: int, config: ForestConfi
                 left[parent] = node_id
 
         yn = y[idx]
-        hist = np.bincount(yn, minlength=n_classes).astype(np.float64)
+        hist = np.bincount(yn, minlength=n_classes)
         split = None
         pure = hist.max() == idx.size
         if idx.size >= 2 and depth < config.max_depth and not pure:
@@ -246,7 +266,7 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, n_classes: int, config: ForestConfi
                 cand = np.arange(d)
             else:
                 cand = np.sort(rng.choice(d, size=k, replace=False))
-            split = _best_split(x[idx], yn, hist, cand, n_classes)
+            split = _best_split(x[idx[:, None], cand], yn, hist, cand)
             if split is not None and split[2] < config.min_impurity_decrease:
                 split = None
 

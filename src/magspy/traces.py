@@ -9,6 +9,7 @@ after construction, with read-only arrays, so they are safe to share.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -41,6 +42,14 @@ def _positive_rate(rate_hz) -> float:
     if not np.isfinite(rate) or rate <= 0:
         raise ValueError("rate_hz must be positive")
     return rate
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """Reject ``value`` unless it is an integer (not a bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
 
 
 @dataclass(frozen=True, eq=False)

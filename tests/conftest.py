@@ -31,6 +31,41 @@ def brute_force_best_split(x, y, n_classes):
     return best
 
 
+def reference_best_split(x, y, hist, candidates):
+    """The per-feature CART scan, with ``forest._best_split``'s signature.
+
+    Test oracle for the vectorized split search: one argsort, one one-hot
+    class-count prefix and one float Gini sum per candidate feature, under
+    the same tie rules. Trained models must match it byte for byte.
+    """
+    n = y.size
+    hist = hist.astype(np.float64)
+    gini_parent = 1.0 - float((hist * hist).sum()) / (n * n)
+    best = None
+    for column, f in zip(x.T, candidates):
+        order = np.argsort(column, kind="stable")
+        xs = column[order]
+        ys = y[order]
+        cuts = np.flatnonzero(xs[:-1] < xs[1:])
+        if cuts.size == 0:
+            continue
+        onehot = np.zeros((n, hist.size))
+        onehot[np.arange(n), ys] = 1.0
+        prefix = np.cumsum(onehot, axis=0)
+        n_left = (cuts + 1).astype(np.float64)
+        n_right = n - n_left
+        left_counts = prefix[cuts]
+        right_counts = hist - left_counts
+        gini_left = 1.0 - (left_counts * left_counts).sum(axis=1) / (n_left * n_left)
+        gini_right = 1.0 - (right_counts * right_counts).sum(axis=1) / (n_right * n_right)
+        decrease = gini_parent - (n_left / n) * gini_left - (n_right / n) * gini_right
+        i = int(np.argmax(decrease))
+        if best is None or decrease[i] > best[2]:
+            threshold = (xs[cuts[i]] + xs[cuts[i] + 1]) / 2.0
+            best = (int(f), float(threshold), float(decrease[i]))
+    return best
+
+
 def tree_doc(feature, threshold, left, right, counts):
     """One tree of a ``magspy-forest`` model document."""
     return {"feature": feature, "threshold": threshold, "left": left,

@@ -17,6 +17,8 @@ from magspy.forest import Dataset, FeatureVector, ForestConfig, train_forest
 from magspy.simulate import (DEFAULT_BASELINE_FIELD, DEFAULT_COUPLING_DIR,
                              DeviceProfile)
 
+pytestmark = pytest.mark.slow
+
 CHANCE_20 = 1.0 / 20.0
 
 

@@ -325,6 +325,24 @@ class TestExitCodes:
         assert "magspy: error:" in capsys.readouterr().err
         assert not (tmp_path / "sim" / "recordings.jsonl").exists()
 
+    @pytest.mark.parametrize("field, doc", [
+        ("class_count", {"class_count": 2.5}),
+        ("traces_per_class", {"traces_per_class": True}),
+        ("distractor_count", {"distractor_count": 1.0}),
+        ("calibration_cycles", {"calibration_cycles": -1}),
+        ("n_estimators", {"forest": {"n_estimators": 2.5}}),
+        ("max_depth", {"forest": {"max_depth": True}}),
+        ("seed", {"forest": {"seed": 1.5}}),
+    ], ids=["fractional-count", "bool-count", "float-count", "negative-count",
+            "fractional-trees", "bool-depth", "fractional-forest-seed"])
+    def test_non_integer_count_names_the_field(self, tmp_path, capsys, field, doc):
+        config = write_config(tmp_path, **doc)
+        assert main(["simulate", "--config", config,
+                     "--out", str(tmp_path / "sim")]) == 1
+        err = capsys.readouterr().err
+        assert "magspy: error:" in err and field in err
+        assert not (tmp_path / "sim" / "recordings.jsonl").exists()
+
     def test_missing_config_file_is_validation_error(self, tmp_path, capsys):
         assert main(["eval", "--config", str(tmp_path / "nope.json")]) == 1
 

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
-from conftest import (MALFORMED_TREES, brute_force_best_split, tree_doc,
-                      write_model_doc)
+from conftest import (MALFORMED_TREES, brute_force_best_split,
+                      reference_best_split, tree_doc, write_model_doc)
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from magspy.forest import (FeatureVector, ForestConfig, cross_validate_grid,
-                           extract_features, load_model, predict, predict_many,
-                           save_model, split_dataset, train_forest)
+from magspy import forest
+from magspy.experiments import (ExperimentConfig, _render_class_traces,
+                                _training_features)
+from magspy.forest import (FeatureVector, ForestConfig, _best_split,
+                           cross_validate_grid, extract_features, load_model,
+                           predict, predict_many, save_model, split_dataset,
+                           train_forest)
 from magspy.traces import Dataset, Trace1D
 
 
@@ -161,6 +168,78 @@ class TestTrainAndPredict:
         model = train_forest(data, ForestConfig(n_estimators=2, seed=0))
         with pytest.raises(ValueError, match="dimension"):
             predict(model, FeatureVector([0.0]))
+
+
+@st.composite
+def split_nodes(draw):
+    """A node's (n, k) feature block, class codes and class count.
+
+    Values come from small integer grids or from normals rounded to 0-2
+    decimals, so exact ties are common; some columns are made constant.
+    """
+    n = draw(st.integers(2, 40))
+    k = draw(st.integers(1, 6))
+    n_classes = draw(st.integers(1, 20))
+    if draw(st.booleans()):
+        top = draw(st.integers(0, 5))
+        x = draw(hnp.arrays(np.float64, (n, k),
+                            elements=st.integers(0, top).map(float)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        x = np.round(rng.normal(0.0, 1.0, (n, k)), draw(st.integers(0, 2)))
+    constant = draw(hnp.arrays(bool, k))
+    x[:, constant] = x[0, constant]
+    y = draw(hnp.arrays(np.intp, n, elements=st.integers(0, n_classes - 1)))
+    return x, y, n_classes
+
+
+class TestSplitSearch:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(node=split_nodes(), data=st.data())
+    def test_matches_brute_force_oracle_exactly(self, node, data):
+        x, y, n_classes = node
+        k = x.shape[1]
+        cand = np.flatnonzero(data.draw(hnp.arrays(bool, k)))
+        if cand.size == 0:
+            cand = np.arange(k)
+        hist = np.bincount(y, minlength=n_classes)
+        block = x[:, cand]
+        want = brute_force_best_split(block, y, n_classes)
+        if want is not None:
+            want = (int(cand[want[0]]), want[1], want[2])
+        assert _best_split(block, y, hist, cand) == want
+        assert reference_best_split(block, y, hist, cand) == want
+
+    @pytest.fixture(scope="class")
+    def closed_world(self):
+        cfg = ExperimentConfig(class_count=5, traces_per_class=8, duration_s=6.0,
+                               seed=3)
+        class_ids = [f"class-{i:03d}" for i in range(cfg.class_count)]
+        _, traces, _, labels, _ = _render_class_traces(
+            cfg, class_ids, cfg.traces_per_class, cfg.resolved_profiles(), "cw")
+        return Dataset.from_pairs(_training_features(traces, labels, 50))
+
+    @pytest.mark.parametrize("config", [
+        ForestConfig(n_estimators=10, seed=1),
+        ForestConfig(n_estimators=10, max_features="sqrt", max_depth=10,
+                     min_impurity_decrease=0.0, seed=2),
+        ForestConfig(n_estimators=2, max_features="all", bootstrap=False, seed=3),
+    ], ids=["log2-bootstrap", "sqrt-depth10-no-min-decrease", "all-no-bootstrap"])
+    def test_model_bytes_match_per_feature_reference(self, tmp_path, monkeypatch,
+                                                     closed_world, config):
+        save_model(train_forest(closed_world, config), tmp_path / "vectorized.json")
+        calls = []
+
+        def reference(*args):
+            calls.append(1)
+            return reference_best_split(*args)
+
+        monkeypatch.setattr(forest, "_best_split", reference)
+        save_model(train_forest(closed_world, config), tmp_path / "reference.json")
+        assert calls
+        assert ((tmp_path / "vectorized.json").read_bytes()
+                == (tmp_path / "reference.json").read_bytes())
 
 
 class TestSplitDataset:
