@@ -15,11 +15,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import detect as _detect
-from .experiments import (ExperimentConfig, _child_seed, _class_ids,
-                          _render_class_traces, _training_features,
-                          run_scenario, write_report)
-from .forest import (Dataset, _predict_labels, load_model, save_model,
-                     train_forest)
+from .experiments import (ExperimentConfig, _child_seed, _class_ids, _fit,
+                          _render_class_traces, run_scenario, write_report)
+from .forest import _predict_labels, load_model, save_model
 from .metrics import evaluate, format_report_text
 from .preprocess import preprocess_recording
 from .simulate import load_device_profile, load_motion_script, render_recording
@@ -80,19 +78,17 @@ def _cmd_train(args) -> int:
     cfg = _load_config(args.config, args.seed, None)
     traces = [preprocess_recording(rec, args.rate) for rec in recordings]
     labels = [rec.label for rec in recordings]
+    class_names = tuple(dict.fromkeys(labels))
     bins = min(cfg.bin_count, min(len(t) for t in traces))
-    dataset = Dataset.from_pairs(_training_features(traces, labels, bins))
-    model = train_forest(dataset, cfg.forest)
+    model, _ = _fit(cfg, traces, labels, class_names, bins)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.json")
-    by_label: dict[str, list] = {}
-    for trace, label in zip(traces, labels):
-        by_label.setdefault(label, []).append(trace)
-    for label, group in sorted(by_label.items()):
-        pattern = _detect.average_pattern(group, label)
-        _detect.save_pattern(pattern, out / f"pattern_{label}.json")
-    print(f"wrote model and {len(by_label)} patterns to {out}")
+    for label in sorted(class_names):
+        group = [t for t, t_label in zip(traces, labels) if t_label == label]
+        _detect.save_pattern(_detect.average_pattern(group, label),
+                             out / f"pattern_{label}.json")
+    print(f"wrote model and {len(class_names)} patterns to {out}")
     return 0
 
 
@@ -100,8 +96,7 @@ def _cmd_classify(args) -> int:
     model = load_model(args.model)
     recordings = load_recordings(args.data)
     traces = [preprocess_recording(rec, args.rate) for rec in recordings]
-    predicted, probability = (_predict_labels(model, traces, model.n_features)
-                              if traces else ([], []))
+    predicted, probability = _predict_labels(model, traces, model.n_features)
     lines = []
     pairs = []
     for rec, label, prob in zip(recordings, predicted, probability):

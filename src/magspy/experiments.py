@@ -21,12 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import detect as _detect
-from .forest import (DEFAULT_BIN_COUNT, Dataset, ForestConfig, _predict_labels,
-                     cross_validate_grid, default_config_grid, extract_features,
-                     split_dataset, train_forest)
+from .forest import (DEFAULT_BIN_COUNT, Dataset, FeatureVector, ForestConfig,
+                     _featurize, _predict_labels, cross_validate_grid,
+                     default_config_grid, split_dataset, train_forest)
 from .metrics import EvalReport, evaluate, format_report_text
 from .motion import MotionThresholds, filter_dataset
-from .preprocess import augment_with_inverse, preprocess_recording
+from .preprocess import preprocess_recording
 from .simulate import (DeviceProfile, _stable_seed, estimate_snr,
                        make_class_signature, pattern_correlation,
                        perturb_pattern, profile_for_snr, profile_from_dict,
@@ -116,6 +116,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in _SCENARIOS:
             raise ValueError(f"scenario must be one of {_SCENARIOS}")
+        _check_count("seed", self.seed)
         for name in ("class_count", "traces_per_class", "stream_count",
                      "background_traces_each", "cv_folds", "bin_count"):
             _check_count(name, getattr(self, name), 1)
@@ -221,35 +222,27 @@ def _take(traces, items) -> tuple[list, list]:
 
 
 def _training_features(traces, labels, bins: int) -> list:
-    """Augmented training pairs: each trace contributes itself and its inverse."""
-    out = []
-    for trace, label in zip(traces, labels):
-        for view in augment_with_inverse(trace):
-            out.append((extract_features(view, bins, label), label))
-    return out
+    """Augmented training pairs: each trace contributes itself, then its inverse."""
+    views = np.stack([_featurize(traces, bins), _featurize(traces, bins, inverse=True)],
+                     axis=1)
+    return [(FeatureVector(row, label), label)
+            for pair, label in zip(views, labels) for row in pair]
 
 
-def _fit(cfg: ExperimentConfig, traces, labels, class_names, bins: int,
-         search: str | None = "plain"):
+def _fit(cfg: ExperimentConfig, traces, labels, class_names, bins: int):
     """Fit stage: pick a forest config, then grow it on augmented training rows.
 
-    With ``cfg.grid`` set, cross-validation picks the config on the
-    ``"plain"`` training rows or on the ``"augmented"`` ones; with
-    ``search=None`` (or no grid) the forest is ``cfg.forest``. Returns
-    (model, chosen config).
+    With ``cfg.grid`` set, cross-validation on the plain rows, one per
+    training trace, picks the config; otherwise it is ``cfg.forest``.
+    Returns (model, chosen config).
     """
-    train = Dataset(tuple(_training_features(traces, labels, bins)),
-                    tuple(class_names))
+    pairs = _training_features(traces, labels, bins)
     chosen = cfg.forest
-    if cfg.grid and search is not None:
-        rows = train
-        if search == "plain":
-            rows = Dataset(tuple((extract_features(t, bins, label), label)
-                                 for t, label in zip(traces, labels)),
-                           train.class_names)
-        chosen, _ = cross_validate_grid(rows, cfg.grid, cfg.cv_folds,
+    if cfg.grid:
+        chosen, _ = cross_validate_grid(Dataset(tuple(pairs[::2]), tuple(class_names)),
+                                        cfg.grid, cfg.cv_folds,
                                         seed=_child_seed(cfg.seed, "cv"))
-    return train_forest(train, chosen), chosen
+    return train_forest(Dataset(tuple(pairs), tuple(class_names)), chosen), chosen
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +323,7 @@ def run_open_world(cfg: ExperimentConfig) -> EvalReport:
             cfg, unmonitored_train, cfg.traces_per_class, profiles, "ow-pool")
         fit_traces += pool
         fit_labels += [UNMONITORED_LABEL] * len(pool)
-    model, chosen = _fit(cfg, fit_traces, fit_labels, class_names, bins,
-                         search="augmented")
+    model, chosen = _fit(cfg, fit_traces, fit_labels, class_names, bins)
 
     test_traces, test_labels = _take(traces, test_items)
     if background:
@@ -372,7 +364,7 @@ def run_sampling_sweep(cfg: ExperimentConfig) -> list[tuple[float, float]]:
                   else [preprocess_recording(rec, rate) for rec in recordings])
         bins = min(cfg.bin_count, len(traces[0]))
         fit_traces, fit_labels = _take(traces, train_items)
-        model, _ = _fit(cfg, fit_traces, fit_labels, class_ids, bins, search=None)
+        model, _ = _fit(cfg, fit_traces, fit_labels, class_ids, bins)
         test_traces, test_labels = _take(traces, test_items)
         predicted, _ = _predict_labels(model, test_traces, bins)
         accuracy = float(np.mean([p == label
@@ -409,7 +401,12 @@ def run_continuous(cfg: ExperimentConfig) -> ContinuousResult:
     0.05 s), scored against the true offset with the configured tolerance,
     and classified with the closed-world model.
     """
-    core = _closed_world_core(cfg)
+    return _detect_in_streams(cfg, _closed_world_core(cfg))
+
+
+def _detect_in_streams(cfg: ExperimentConfig,
+                       core: _ClosedWorldBundle) -> ContinuousResult:
+    """Stream stage of :func:`run_continuous`, given its closed world."""
     rate = cfg.rate_hz
     target = core.class_ids[0]
 
@@ -564,7 +561,7 @@ def run_snr_calibration(cfg: ExperimentConfig) -> list[dict]:
     reference = synth_square_pattern(2.0, 2.0, cfg.calibration_cycles, cfg.rate_hz)
     rows = []
     for i, gain in enumerate(cfg.gains):
-        profile = replace_profile_gain(base, gain)
+        profile = replace(base, gain=gain)
         rec = render_recording(reference, profile,
                                seed=_child_seed(cfg.seed, "snr", i))
         try:
@@ -577,10 +574,6 @@ def run_snr_calibration(cfg: ExperimentConfig) -> list[dict]:
             "pattern_correlation": corr,
         })
     return rows
-
-
-def replace_profile_gain(profile: DeviceProfile, gain: float) -> DeviceProfile:
-    return replace(profile, gain=gain)
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,8 @@ class ForestModel:
         # their parent in pre-order and no node is shared, so the nodes form
         # a tree and each step strictly increases the node index.
         n_classes = len(self.class_names)
+        if len(set(self.class_names)) != n_classes:
+            raise ValueError("class_names contains duplicates")
         for tree in self.trees:
             n = tree.n_nodes
             if any(a.shape != (n,) for a in (tree.feature, tree.threshold,
@@ -358,29 +360,42 @@ def predict(model: ForestModel, features: FeatureVector) -> tuple[str, dict[str,
     return label, {name: float(p) for name, p in zip(model.class_names, probs[0])}
 
 
+def _featurize(traces, bins: int, *, inverse: bool = False) -> np.ndarray:
+    """Binned-mean features of normalized traces, one row per trace in input order.
+
+    With stride s = n / bins for a trace of n samples, feature i is the mean
+    of window [round(i*s), round(i*s + 2*s)) clipped to the trace: 50%
+    overlap between consecutive windows. Traces of equal length are stacked
+    and binned as one matrix; ``inverse`` bins their ``1 - values``
+    reflections instead.
+    """
+    if bins < 1:
+        raise ValueError("bin_count must be at least 1")
+    by_length: dict[int, list[int]] = {}
+    for i, trace in enumerate(traces):
+        if not trace.normalized:
+            raise ValueError("trace must be normalized")
+        if len(trace) < bins:
+            raise ValueError(f"trace length {len(trace)} is shorter than "
+                             f"bin_count {bins}")
+        by_length.setdefault(len(trace), []).append(i)
+    out = np.empty((len(traces), bins))
+    for n, rows in by_length.items():
+        x = np.stack([traces[i].values for i in rows])
+        if inverse:
+            np.subtract(1.0, x, out=x)
+        stride = n / bins
+        for j in range(bins):
+            a = _round_half_up(j * stride)
+            b = min(n, _round_half_up(j * stride + 2.0 * stride))
+            out[rows, j] = x[:, a:b].mean(axis=1)
+    return out
+
+
 def extract_features(trace: Trace1D, bin_count: int = DEFAULT_BIN_COUNT,
                      label: str | None = None) -> FeatureVector:
-    """Means of equal-size half-overlapping windows over a normalized trace.
-
-    With stride s = len(trace) / bin_count, window i covers indices
-    [round(i*s), round(i*s + 2*s)) clipped to the trace, giving 50% overlap
-    between consecutive windows and exactly ``bin_count`` features.
-    """
-    if not trace.normalized:
-        raise ValueError("trace must be normalized")
-    if bin_count < 1:
-        raise ValueError("bin_count must be at least 1")
-    v = trace.values
-    n = v.size
-    if n < bin_count:
-        raise ValueError(f"trace length {n} is shorter than bin_count {bin_count}")
-    stride = n / bin_count
-    out = np.empty(bin_count)
-    for i in range(bin_count):
-        a = _round_half_up(i * stride)
-        b = min(n, _round_half_up(i * stride + 2.0 * stride))
-        out[i] = v[a:b].mean()
-    return FeatureVector(out, label=label)
+    """Means of ``bin_count`` half-overlapping windows over one normalized trace."""
+    return FeatureVector(_featurize([trace], bin_count)[0], label=label)
 
 
 def _predict_labels(model: ForestModel, traces,
@@ -390,10 +405,21 @@ def _predict_labels(model: ForestModel, traces,
     Returns each trace's predicted label and that label's probability, the
     same values :func:`predict` gives trace by trace.
     """
-    x = np.stack([extract_features(t, bins).values for t in traces])
-    codes, probs = predict_many(model, x)
+    codes, probs = predict_many(model, _featurize(traces, bins))
     labels = [model.class_names[int(c)] for c in codes]
     return labels, probs[np.arange(codes.size), codes].tolist()
+
+
+def _stratify(labels, class_names, minimum: int, seed: int) -> list[list[int]]:
+    """Per class, in ``class_names`` order, its item indices in a seeded permutation."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for name in class_names:
+        idx = [i for i, label in enumerate(labels) if label == name]
+        if len(idx) < minimum:
+            raise ValueError(f"class {name!r} has fewer than {minimum} items")
+        out.append([idx[p] for p in rng.permutation(len(idx))])
+    return out
 
 
 def split_dataset(data: Dataset, train_fraction: float,
@@ -401,20 +427,12 @@ def split_dataset(data: Dataset, train_fraction: float,
     """Stratified train/test split: round(fraction * count) items per class to train."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie strictly between 0 and 1")
-    rng = np.random.default_rng(seed)
-    by_class: dict[str, list[int]] = {name: [] for name in data.class_names}
-    for i, (_, label) in enumerate(data.items):
-        by_class[label].append(i)
     train_items = []
     test_items = []
-    for name in data.class_names:
-        idx = by_class[name]
-        if len(idx) < 2:
-            raise ValueError(f"class {name!r} has fewer than 2 items; cannot stratify")
-        perm = rng.permutation(len(idx))
-        n_train = _round_half_up(train_fraction * len(idx))
-        for j, p in enumerate(perm):
-            (train_items if j < n_train else test_items).append(data.items[idx[p]])
+    for perm in _stratify(data.labels, data.class_names, 2, seed):
+        n_train = _round_half_up(train_fraction * len(perm))
+        train_items += [data.items[i] for i in perm[:n_train]]
+        test_items += [data.items[i] for i in perm[n_train:]]
     return (Dataset(tuple(train_items), data.class_names),
             Dataset(tuple(test_items), data.class_names))
 
@@ -430,38 +448,23 @@ def cross_validate_grid(train: Dataset, grid, folds: int,
         raise ValueError("grid must contain at least one config")
     if folds < 2:
         raise ValueError("folds must be at least 2")
-    rng = np.random.default_rng(seed)
     fold_of = np.empty(len(train), dtype=np.intp)
-    by_class: dict[str, list[int]] = {name: [] for name in train.class_names}
-    for i, (_, label) in enumerate(train.items):
-        by_class[label].append(i)
-    for name in train.class_names:
-        idx = by_class[name]
-        if len(idx) < folds:
-            raise ValueError(f"class {name!r} has fewer than {folds} items")
-        perm = rng.permutation(len(idx))
-        for j, p in enumerate(perm):
-            fold_of[idx[p]] = j % folds
+    for perm in _stratify(train.labels, train.class_names, folds, seed):
+        fold_of[perm] = np.arange(len(perm)) % folds
 
+    x = np.stack([fv.values for fv, _ in train.items])
+    truth = np.asarray([train.class_names.index(label) for label in train.labels])
     means = []
     for config in grid:
         accs = []
         for fold in range(folds):
-            fit_items = tuple(train.items[i] for i in range(len(train))
-                              if fold_of[i] != fold)
-            held_items = tuple(train.items[i] for i in range(len(train))
-                               if fold_of[i] == fold)
-            model = train_forest(Dataset(fit_items, train.class_names), config)
-            x = np.stack([fv.values for fv, _ in held_items])
-            codes, _ = predict_many(model, x)
-            truth = np.asarray([train.class_names.index(label)
-                                for _, label in held_items])
-            accs.append(float(np.mean(codes == truth)))
+            held = fold_of == fold
+            fit = [item for item, h in zip(train.items, held) if not h]
+            model = train_forest(Dataset(tuple(fit), train.class_names), config)
+            codes, _ = predict_many(model, x[held])
+            accs.append(float(np.mean(codes == truth[held])))
         means.append(float(np.mean(accs)))
-    best = 0
-    for i in range(1, len(grid)):
-        if means[i] > means[best]:
-            best = i
+    best = int(np.argmax(means))  # the first of equal means
     return grid[best], tuple(means)
 
 
@@ -508,5 +511,6 @@ def load_model(path) -> ForestModel:
         counts = [row if row is not None else [0.0] * n_classes for row in t["counts"]]
         threshold = [math.nan if v is None else v for v in t["threshold"]]
         trees.append(_Tree(t["feature"], threshold, t["left"], t["right"], counts))
+    _check_count("n_features", obj["n_features"], 1)
     return ForestModel(trees=tuple(trees), class_names=class_names,
-                       n_features=int(obj["n_features"]), config=config)
+                       n_features=obj["n_features"], config=config)

@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .preprocess import pca_first_component
-from .traces import CpuPattern, SensorRecording, _frozen_array, _positive_rate
+from .traces import (CpuPattern, SensorRecording, _check_count, _frozen_array,
+                     _positive_rate)
 
 #: A plausible ambient geomagnetic field, microtesla.
 DEFAULT_BASELINE_FIELD = (20.0, 5.0, 43.0)
@@ -87,11 +88,8 @@ class RotationEvent:
     axis: np.ndarray
 
     def __post_init__(self):
-        for name in ("start_index", "duration_samples"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"{name} must be an integer")
-        if self.start_index < 0 or self.duration_samples < 1:
-            raise ValueError("event must have non-negative start and positive duration")
+        _check_count("start_index", self.start_index, 0)
+        _check_count("duration_samples", self.duration_samples, 1)
         if not math.isfinite(self.peak_rate_rad_s) or self.peak_rate_rad_s < 0:
             raise ValueError("peak rate must be finite and non-negative")
         axis = _frozen_array(self.axis)

@@ -44,7 +44,7 @@ def _positive_rate(rate_hz) -> float:
     return rate
 
 
-def _check_count(name: str, value, minimum: int) -> None:
+def _check_count(name: str, value, minimum: float = float("-inf")) -> None:
     """Reject ``value`` unless it is an integer (not a bool) of at least ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, not {value!r}")

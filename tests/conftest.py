@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 
@@ -64,6 +65,23 @@ def reference_best_split(x, y, hist, candidates):
             threshold = (xs[cuts[i]] + xs[cuts[i] + 1]) / 2.0
             best = (int(f), float(threshold), float(decrease[i]))
     return best
+
+
+def reference_features(values, bins):
+    """The per-trace binned-mean loop that ``forest._featurize`` replaced.
+
+    Test oracle for the matrix featurizer: window i of an n-sample trace is
+    [round(i*s), round(i*s + 2*s)) with s = n / bins, rounded half-up and
+    clipped to the trace, and each window's mean is taken on its own.
+    """
+    n = values.size
+    stride = n / bins
+    out = np.empty(bins)
+    for i in range(bins):
+        a = math.floor(i * stride + 0.5)
+        b = min(n, math.floor(i * stride + 2.0 * stride + 0.5))
+        out[i] = values[a:b].mean()
+    return out
 
 
 def tree_doc(feature, threshold, left, right, counts):

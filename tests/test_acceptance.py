@@ -7,12 +7,14 @@ full-scale runs are shared through session fixtures.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import brute_force_best_split
 
 import magspy as m
+from magspy.experiments import _closed_world_core, _detect_in_streams
 from magspy.forest import Dataset, FeatureVector, ForestConfig, train_forest
 from magspy.simulate import (DEFAULT_BASELINE_FIELD, DEFAULT_COUPLING_DIR,
                              DeviceProfile)
@@ -35,17 +37,26 @@ def full_scale_config():
 
 
 @pytest.fixture(scope="session")
-def closed_world_report(full_scale_config):
+def closed_world_core(full_scale_config):
+    # The whole closed world (render, split, grow, classify), timed once and
+    # shared: the continuous scenario detects in streams on this same model.
     started = time.time()
-    report = m.run_closed_world(full_scale_config)
-    report.extras["wall_seconds"] = time.time() - started
-    return report
+    core = _closed_world_core(full_scale_config)
+    core.report.extras["wall_seconds"] = time.time() - started
+    return core
 
 
 @pytest.fixture(scope="session")
-def continuous_result(full_scale_config):
-    from dataclasses import replace
-    return m.run_continuous(replace(full_scale_config, scenario="continuous"))
+def closed_world_report(closed_world_core):
+    return closed_world_core.report
+
+
+@pytest.fixture(scope="session")
+def continuous_result(full_scale_config, closed_world_core):
+    # run_continuous(cfg) is _detect_in_streams(cfg, _closed_world_core(cfg)),
+    # and the core does not read the scenario field.
+    return _detect_in_streams(replace(full_scale_config, scenario="continuous"),
+                              closed_world_core)
 
 
 def test_criterion_01_pca_matches_eigensolver_oracle():

@@ -1,8 +1,9 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import MALFORMED_TREES, write_model_doc
+from conftest import MALFORMED_TREES, tree_doc, write_model_doc
 
 from magspy.cli import main
 from magspy.detect import save_pattern, ActivityPattern
@@ -73,6 +74,39 @@ class TestSimulateTrainClassify:
             assert row["probability"] == probs[label]
             assert row["label"] == rec.label
 
+    def test_train_and_classify_mixed_durations(self, tmp_path, capsys):
+        # Recordings of 6 s and 4 s interleaved in one file: the featurizer
+        # bins each length group as one matrix and must return rows in input
+        # order. The 4 s classes get their own labels, since `train` averages
+        # one pattern per label.
+        recordings = []
+        for duration, prefix in ((6.0, ""), (4.0, "short-")):
+            config = write_config(tmp_path, duration_s=duration, traces_per_class=5)
+            sim = tmp_path / f"sim-{duration}"
+            main(["simulate", "--config", config, "--out", str(sim)])
+            recordings.append([replace(rec, label=prefix + rec.label) for rec
+                               in load_recordings(sim / "recordings.jsonl")])
+        recordings = [rec for pair in zip(*recordings) for rec in pair]
+        data = tmp_path / "mixed.jsonl"
+        save_recordings(recordings, data)
+        config = write_config(tmp_path)
+        model_dir = tmp_path / "model"
+        assert main(["train", "--config", config, "--data", str(data),
+                     "--out", str(model_dir)]) == 0
+        out_dir = tmp_path / "pred"
+        assert main(["classify", "--model", str(model_dir / "model.json"),
+                     "--data", str(data), "--out", str(out_dir)]) == 0
+        rows = [json.loads(line) for line
+                in (out_dir / "predictions.jsonl").read_text().splitlines()]
+        model = load_model(model_dir / "model.json")
+        assert len(rows) == len(recordings) == 30
+        for rec, row in zip(recordings, rows):
+            features = extract_features(preprocess_recording(rec), model.n_features)
+            label, probs = predict(model, features)
+            assert row["predicted"] == label
+            assert row["probability"] == probs[label]
+            assert row["label"] == rec.label
+
     def test_classify_empty_data_file(self, tmp_path, capsys):
         config = write_config(tmp_path, class_count=2, traces_per_class=4)
         main(["simulate", "--config", config, "--out", str(tmp_path / "sim")])
@@ -95,6 +129,22 @@ class TestSimulateTrainClassify:
             "d", 100.0, np.random.default_rng(0).normal(50, 1, (300, 3)))], data)
         assert main(["classify", "--model", str(model), "--data", str(data)]) == 1
         assert "magspy: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, override", [
+        ("n_features", {"n_features": 1.5}),
+        ("class_names", {"class_names": ["A", "A", "B"]}),
+    ], ids=["fractional-n-features", "duplicate-class-names"])
+    def test_classify_rejects_bad_model_header(self, tmp_path, capsys, field,
+                                               override):
+        leaf = tree_doc([-1], [None], [-1], [-1], [[1, 0, 0]])
+        model = write_model_doc(tmp_path / "model.json", leaf, ("A", "B", "C"))
+        model.write_text(json.dumps({**json.loads(model.read_text()), **override}))
+        data = tmp_path / "data.jsonl"
+        save_recordings([SensorRecording(
+            "d", 100.0, np.random.default_rng(0).normal(50, 1, (300, 3)))], data)
+        assert main(["classify", "--model", str(model), "--data", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert "magspy: error:" in err and field in err
 
     def test_classify_to_stdout(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -307,11 +357,15 @@ class TestExitCodes:
          '"duration_samples": 100, "peak_rate_rad_s": NaN, "axis": [0, 0, 1]}]}'),
         ("motion-script", '{"rotation_events": [{"start_index": 1.5, '
          '"duration_samples": 100, "peak_rate_rad_s": 2.0, "axis": [0, 0, 1]}]}'),
+        ("motion-script", '{"rotation_events": [{"start_index": true, '
+         '"duration_samples": 100, "peak_rate_rad_s": 2.0, "axis": [0, 0, 1]}]}'),
+        ("motion-script", '{"rotation_events": [{"start_index": 50, '
+         '"duration_samples": true, "peak_rate_rad_s": 2.0, "axis": [0, 0, 1]}]}'),
         ("device-profile", '{"gain": "3"}'),
         ("device-profile", '{"gain": 3.0, "noise_std": NaN}'),
         ("config", '{"class_count": "2", "traces_per_class": 2}'),
-    ], ids=["nan-peak-rate", "fractional-start-index", "string-gain",
-            "nan-noise-std", "string-class-count"])
+    ], ids=["nan-peak-rate", "fractional-start-index", "bool-start-index",
+            "bool-duration", "string-gain", "nan-noise-std", "string-class-count"])
     def test_bad_outside_document_is_validation_error(self, tmp_path, capsys,
                                                       kind, doc):
         path = tmp_path / f"{kind}.json"
@@ -333,8 +387,11 @@ class TestExitCodes:
         ("n_estimators", {"forest": {"n_estimators": 2.5}}),
         ("max_depth", {"forest": {"max_depth": True}}),
         ("seed", {"forest": {"seed": 1.5}}),
+        ("seed", {"seed": 1.5}),
+        ("seed", {"seed": True}),
     ], ids=["fractional-count", "bool-count", "float-count", "negative-count",
-            "fractional-trees", "bool-depth", "fractional-forest-seed"])
+            "fractional-trees", "bool-depth", "fractional-forest-seed",
+            "fractional-seed", "bool-seed"])
     def test_non_integer_count_names_the_field(self, tmp_path, capsys, field, doc):
         config = write_config(tmp_path, **doc)
         assert main(["simulate", "--config", config,

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 from conftest import (MALFORMED_TREES, brute_force_best_split,
-                      reference_best_split, tree_doc, write_model_doc)
+                      reference_best_split, reference_features, tree_doc,
+                      write_model_doc)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -9,10 +10,11 @@ from hypothesis.extra import numpy as hnp
 from magspy import forest
 from magspy.experiments import (ExperimentConfig, _render_class_traces,
                                 _training_features)
-from magspy.forest import (FeatureVector, ForestConfig, _best_split,
+from magspy.forest import (FeatureVector, ForestConfig, _best_split, _featurize,
                            cross_validate_grid, extract_features, load_model,
                            predict, predict_many, save_model, split_dataset,
                            train_forest)
+from magspy.preprocess import augment_with_inverse
 from magspy.traces import Dataset, Trace1D
 
 
@@ -48,6 +50,26 @@ class TestExtractFeatures:
     def test_feature_count(self):
         trace = Trace1D(np.linspace(0, 1, 137), 1.0, normalized=True)
         assert len(extract_features(trace, 50)) == 50
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), bins=st.integers(1, 60))
+    def test_matrix_featurizer_matches_per_trace_loop(self, data, bins):
+        # Ragged lists: a few lengths, repeated in any order, with ties and
+        # exact 0/1 values among the samples.
+        lengths = data.draw(st.lists(st.integers(bins, bins + 300), min_size=1,
+                                     max_size=3, unique=True))
+        sizes = data.draw(st.lists(st.sampled_from(lengths), min_size=1, max_size=8))
+        elements = st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                             st.floats(0.0, 1.0))
+        traces = [Trace1D(data.draw(hnp.arrays(np.float64, n, elements=elements)),
+                          100.0, normalized=True) for n in sizes]
+        inverses = [augment_with_inverse(t)[1] for t in traces]
+        for views, x in ((traces, _featurize(traces, bins)),
+                         (inverses, _featurize(traces, bins, inverse=True))):
+            want = np.stack([reference_features(t.values, bins) for t in views])
+            assert np.array_equal(x, want)
+            assert np.array_equal(
+                np.stack([extract_features(t, bins).values for t in views]), want)
 
 
 class TestTrainAndPredict:
