@@ -79,15 +79,16 @@ def _cmd_train(args) -> int:
     traces = [preprocess_recording(rec, args.rate) for rec in recordings]
     labels = [rec.label for rec in recordings]
     class_names = tuple(dict.fromkeys(labels))
+    patterns = [_detect.average_pattern(
+        [t for t, t_label in zip(traces, labels) if t_label == label], label)
+        for label in sorted(class_names)]
     bins = min(cfg.bin_count, min(len(t) for t in traces))
     model, _ = _fit(cfg, traces, labels, class_names, bins)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.json")
-    for label in sorted(class_names):
-        group = [t for t, t_label in zip(traces, labels) if t_label == label]
-        _detect.save_pattern(_detect.average_pattern(group, label),
-                             out / f"pattern_{label}.json")
+    for pattern in patterns:
+        _detect.save_pattern(pattern, out / f"pattern_{pattern.class_label}.json")
     print(f"wrote model and {len(class_names)} patterns to {out}")
     return 0
 

@@ -4,12 +4,17 @@ An averaged activity pattern is slid along a one-dimensional stream; local
 maxima of the correlation series that clear height, prominence, and width
 thresholds become candidate occurrence times, which can then be classified
 by cutting a window at each candidate.
+
+Peak finding is array-based: local maxima come from runs of equal values,
+and prominences from a monotonic-stack pass over the peaks plus range-minimum
+queries on a sparse table. Ties between equally tall peaks go to the earlier
+one, which therefore keeps the larger prominence.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, insort
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +23,7 @@ import numpy as np
 from .forest import ForestModel, _predict_labels
 from .metrics import ConfusionCounts
 from .preprocess import _round_half_up, normalize_unit_range
-from .traces import Trace1D, _frozen_array, _positive_rate
+from .traces import Trace1D, _check_count, _frozen_array, _positive_rate
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,8 +71,10 @@ class PeakThresholds:
     min_width_samples: int = 1
 
     def __post_init__(self):
-        if self.min_width_samples < 1:
-            raise ValueError("min_width_samples must be at least 1")
+        for name in ("min_height", "min_prominence"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        _check_count("min_width_samples", self.min_width_samples, 1)
 
 
 @dataclass(frozen=True)
@@ -90,7 +97,8 @@ def average_pattern(traces, class_label: str) -> ActivityPattern:
         if not t.normalized:
             raise ValueError("traces must be normalized")
         if len(t) != length or t.rate_hz != rate:
-            raise ValueError("traces must share length and rate")
+            raise ValueError(f"traces of class {class_label!r} must share "
+                             "length and rate")
     mean = np.mean([t.values for t in traces], axis=0)
     return ActivityPattern(mean - mean.mean(), rate, class_label)
 
@@ -111,45 +119,58 @@ def cross_correlate(stream: Trace1D, pattern: ActivityPattern) -> CorrelationSer
 
 
 def _local_maxima(v: np.ndarray) -> list[int]:
-    # Strictly-above-both-neighbors maxima; plateaus report their center.
-    peaks: list[int] = []
-    n = v.size
-    i = 1
-    while i < n - 1:
-        if v[i] > v[i - 1]:
-            j = i
-            while j + 1 < n and v[j + 1] == v[i]:
-                j += 1
-            if j + 1 < n and v[j + 1] < v[i]:
-                peaks.append((i + j) // 2)
-            i = j + 1
-        else:
-            i += 1
-    return peaks
+    # Runs of equal values that rise from the left neighbor and fall to the
+    # right one; a plateau reports its center.
+    if v.size < 3:
+        return []
+    starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
+    ends = np.r_[starts[1:] - 1, v.size - 1]
+    run = v[starts]
+    peak = np.flatnonzero((run[1:-1] > run[:-2]) & (run[1:-1] > run[2:])) + 1
+    return ((starts[peak] + ends[peak]) // 2).tolist()
 
 
 def _prominences(v: np.ndarray, peaks: list[int]) -> dict[int, float]:
-    """Topographic prominence of each peak.
+    """Topographic prominence of each local maximum in ``peaks`` (ascending).
 
-    Peaks are processed in descending height (ties by position); a peak's
-    saddles are the lowest values separating it from the nearest
-    higher-ranked peak on each side, or from the series end when none
-    exists. Prominence is the height above the higher of the two saddles.
+    Peaks are ranked by descending height, ties by position: on its left a
+    peak is outranked by a peak at least as tall, on its right only by a
+    strictly taller one. One monotonic-stack pass finds the nearest
+    higher-ranked peak on each side. The saddles are the lowest values
+    between the peak and those neighbors (or the series ends), answered from
+    a sparse table of range minima. Prominence is the height above the
+    higher of the two saddles.
     """
-    order = sorted(range(len(peaks)), key=lambda k: (-v[peaks[k]], peaks[k]))
-    placed: list[int] = []
-    prom: dict[int, float] = {}
+    if not peaks:
+        return {}
     n = v.size
-    for k in order:
-        p = peaks[k]
-        pos = bisect_left(placed, p)
-        lo = placed[pos - 1] + 1 if pos > 0 else 0
-        hi = placed[pos] if pos < len(placed) else n
-        left_saddle = float(v[lo:p].min()) if p > lo else float(v[p])
-        right_saddle = float(v[p + 1:hi].min()) if hi > p + 1 else float(v[p])
-        prom[p] = float(v[p]) - max(left_saddle, right_saddle)
-        insort(placed, p)
-    return prom
+    heights = v[peaks].tolist()
+    lo = [0] * len(peaks)
+    hi = [n - 1] * len(peaks)
+    stack: list[int] = []
+    for k, h in enumerate(heights):
+        while stack and heights[stack[-1]] < h:
+            hi[stack.pop()] = peaks[k] - 1
+        if stack:
+            lo[k] = peaks[stack[-1]] + 1
+        stack.append(k)
+    levels = [v]
+    while 2 ** len(levels) <= n:
+        half = 2 ** (len(levels) - 1)
+        levels.append(np.minimum(levels[-1][:-half], levels[-1][half:]))
+    table = np.concatenate(levels)
+    offsets = np.cumsum([0] + [level.size for level in levels])
+
+    def range_min(a, b):
+        # min(v[a:b + 1]) for a <= b: two overlapping power-of-two windows.
+        k = np.frexp(b - a + 1)[1] - 1
+        return np.minimum(table[offsets[k] + a], table[offsets[k] + b + 1 - 2 ** k])
+
+    at = np.array(peaks)
+    left = range_min(np.array(lo), at)
+    right = range_min(at, np.array(hi))
+    prom = v[at] - np.where(right > left, right, left)
+    return dict(zip(peaks, prom.tolist()))
 
 
 def _width_at_half_prominence(v: np.ndarray, peak: int, prominence: float) -> int:
@@ -173,19 +194,12 @@ def find_peaks(series: CorrelationSeries, thresholds: PeakThresholds) -> list[in
     """
     v = series.values
     peaks = _local_maxima(v)
-    if not peaks:
-        return []
     prom = _prominences(v, peaks)
-    accepted = []
-    for p in peaks:
-        if v[p] < thresholds.min_height:
-            continue
-        if prom[p] < thresholds.min_prominence:
-            continue
-        if _width_at_half_prominence(v, p, prom[p]) < thresholds.min_width_samples:
-            continue
-        accepted.append(p)
-    return accepted
+    at = np.array(peaks, dtype=np.intp)
+    height_ok = v[at] >= thresholds.min_height
+    prom_ok = np.array([prom[p] for p in peaks]) >= thresholds.min_prominence
+    return [p for p in at[height_ok & prom_ok].tolist()
+            if _width_at_half_prominence(v, p, prom[p]) >= thresholds.min_width_samples]
 
 
 def detect_and_classify(stream: Trace1D, series: CorrelationSeries,
@@ -224,6 +238,8 @@ def match_detections(detections, truth, tolerance_s: float,
     may claim the nearest unmatched truth event within the tolerance.
     Matching is by time only; labels are scored separately.
     """
+    if not math.isfinite(tolerance_s) or tolerance_s < 0:
+        raise ValueError("tolerance_s must be finite and non-negative")
     truth = list(truth)
     if len({t for t, _ in truth}) != len(truth):
         raise ValueError("truth event indices must be distinct")

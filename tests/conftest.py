@@ -1,3 +1,4 @@
+import bisect
 import json
 import math
 
@@ -82,6 +83,51 @@ def reference_features(values, bins):
         b = min(n, math.floor(i * stride + 2.0 * stride + 0.5))
         out[i] = values[a:b].mean()
     return out
+
+
+def reference_local_maxima(v):
+    """The per-sample scan that ``detect._local_maxima`` replaced.
+
+    Test oracle: strictly-above-both-neighbors maxima; a plateau reports its
+    center.
+    """
+    peaks = []
+    n = v.size
+    i = 1
+    while i < n - 1:
+        if v[i] > v[i - 1]:
+            j = i
+            while j + 1 < n and v[j + 1] == v[i]:
+                j += 1
+            if j + 1 < n and v[j + 1] < v[i]:
+                peaks.append((i + j) // 2)
+            i = j + 1
+        else:
+            i += 1
+    return peaks
+
+
+def reference_prominences(v, peaks):
+    """The sorted-insertion prominences that ``detect._prominences`` replaced.
+
+    Test oracle: peaks are placed in descending height (ties by position); a
+    peak's saddles are the lowest values separating it from the nearest
+    already-placed peak on each side, or from the series end.
+    """
+    order = sorted(range(len(peaks)), key=lambda k: (-v[peaks[k]], peaks[k]))
+    placed = []
+    prom = {}
+    n = v.size
+    for k in order:
+        p = peaks[k]
+        pos = bisect.bisect_left(placed, p)
+        lo = placed[pos - 1] + 1 if pos > 0 else 0
+        hi = placed[pos] if pos < len(placed) else n
+        left_saddle = float(v[lo:p].min()) if p > lo else float(v[p])
+        right_saddle = float(v[p + 1:hi].min()) if hi > p + 1 else float(v[p])
+        prom[p] = float(v[p]) - max(left_saddle, right_saddle)
+        bisect.insort(placed, p)
+    return prom
 
 
 def tree_doc(feature, threshold, left, right, counts):

@@ -257,6 +257,20 @@ class TestDetectCommand:
         assert rc == 1
         assert "stream must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--min-height", "--min-prominence",
+                                      "--tolerance-s"])
+    def test_detect_rejects_non_finite_threshold(self, tmp_path, capsys, flag):
+        data, ppath = self._event_streams(tmp_path, [1000])
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text(json.dumps({"time_s": 10.0}) + "\n")
+        out_dir = tmp_path / "det"
+        assert main(["detect", "--pattern", str(ppath), "--data", str(data),
+                     "--min-height", "8", "--min-prominence", "4",
+                     "--truth", str(truth), "--out", str(out_dir),
+                     flag, "nan"]) == 1
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_simulate_with_motion_script(self, tmp_path, capsys):
         config = write_config(tmp_path, class_count=2, traces_per_class=2)
         script = tmp_path / "motion.json"
@@ -419,6 +433,25 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["detect"])  # missing required flags
         assert exc.value.code == 1
+
+    def test_train_rejects_ragged_label_before_writing(self, tmp_path, capsys):
+        # One label's recordings last 6 s and 4 s, so no single activity
+        # pattern can be averaged for it.
+        recordings = []
+        for duration in (6.0, 4.0):
+            config = write_config(tmp_path, class_count=2, traces_per_class=3,
+                                  duration_s=duration)
+            sim = tmp_path / f"sim-{duration}"
+            main(["simulate", "--config", config, "--out", str(sim)])
+            recordings += load_recordings(sim / "recordings.jsonl")
+        data = tmp_path / "ragged.jsonl"
+        save_recordings(recordings, data)
+        capsys.readouterr()
+        out_dir = tmp_path / "model"
+        assert main(["train", "--config", write_config(tmp_path), "--data",
+                     str(data), "--out", str(out_dir)]) == 1
+        assert "'class-000'" in capsys.readouterr().err
+        assert not (out_dir / "model.json").exists()
 
     def test_unlabeled_training_data_rejected(self, tmp_path, capsys):
         from magspy.traces import SensorRecording, save_recordings

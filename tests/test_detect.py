@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from conftest import reference_local_maxima, reference_prominences
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from magspy.detect import (ActivityPattern, CorrelationSeries, Detection,
-                           PeakThresholds, average_pattern, cross_correlate,
+                           PeakThresholds, _local_maxima, _prominences,
+                           average_pattern, cross_correlate,
                            detect_and_classify, find_peaks, load_pattern,
                            match_detections, save_pattern, score_detections)
 from magspy.forest import ForestConfig, extract_features, predict, train_forest
@@ -12,6 +17,14 @@ from magspy.traces import Dataset, Trace1D
 
 def series(values):
     return CorrelationSeries(np.asarray(values, dtype=float), 1.0)
+
+
+# Series of 1-80 samples from values rounded to 0.1, so that ties are common;
+# each value repeats 1-4 times, which makes plateaus, also at the series ends.
+plateau_series = st.lists(
+    st.tuples(st.floats(-2.0, 2.0).map(lambda x: round(x, 1)), st.integers(1, 4)),
+    min_size=1, max_size=80,
+).map(lambda runs: np.repeat([x for x, _ in runs], [r for _, r in runs])[:80])
 
 
 class TestAveragePattern:
@@ -151,6 +164,48 @@ class TestFindPeaks:
         scaled = find_peaks(series(values * alpha),
                             PeakThresholds(0.4 * alpha, 0.2 * alpha, 2))
         assert base == scaled
+
+
+class TestPeakOracles:
+    @settings(max_examples=500, deadline=None)
+    @given(v=plateau_series)
+    def test_local_maxima_match_reference(self, v):
+        peaks = _local_maxima(v)
+        assert peaks == reference_local_maxima(v)
+        assert all(type(p) is int for p in peaks)
+
+    @settings(max_examples=500, deadline=None)
+    @given(v=plateau_series)
+    def test_prominences_match_reference(self, v):
+        peaks = reference_local_maxima(v)
+        assert _prominences(v, peaks) == reference_prominences(v, peaks)
+
+    @settings(max_examples=200, deadline=None)
+    @given(v=hnp.arrays(float, st.integers(1, 80), unique=True,
+                        elements=st.floats(-1e3, 1e3)))
+    def test_prominences_match_scipy_on_tie_free_series(self, v):
+        signal = pytest.importorskip("scipy.signal")
+        peaks = _local_maxima(v)
+        assert peaks == signal.find_peaks(v)[0].tolist()
+        if peaks:
+            want = signal.peak_prominences(v, peaks)[0].tolist()
+            assert [_prominences(v, peaks)[p] for p in peaks] == want
+
+
+class TestThresholdValidation:
+    @pytest.mark.parametrize("args", [
+        (float("nan"), 0.0, 1), (0.0, float("nan"), 1), (float("inf"), 0.0, 1),
+        (0.0, float("-inf"), 1), (0.0, 0.0, 0), (0.0, 0.0, True), (0.0, 0.0, 2.5),
+    ], ids=["nan-height", "nan-prominence", "inf-height", "inf-prominence",
+            "zero-width", "bool-width", "fractional-width"])
+    def test_bad_peak_thresholds_rejected(self, args):
+        with pytest.raises(ValueError):
+            PeakThresholds(*args)
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
+    def test_bad_tolerance_rejected(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance_s"):
+            match_detections([Detection(100, 1.0)], [(100, "a")], tolerance, 10.0)
 
 
 class TestScoreDetections:
