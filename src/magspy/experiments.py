@@ -33,7 +33,7 @@ from .simulate import (DeviceProfile, _stable_seed, estimate_snr,
                        random_motion_script, render_recording,
                        synth_square_pattern)
 from .traces import (UNMONITORED_LABEL, CpuPattern, SensorRecording, Trace1D,
-                     _check_count)
+                     _check_count, _check_real)
 
 # Config fields read from nested JSON documents, as (value, seed) -> field
 # value. An empty or null document keeps the field's default.
@@ -123,8 +123,12 @@ class ExperimentConfig:
         for name in ("monitored_count", "unmonitored_train_count",
                      "background_count", "distractor_count", "calibration_cycles"):
             _check_count(name, getattr(self, name), 0)
-        if self.duration_s <= 0 or self.rate_hz <= 0 or self.stream_s <= 0:
-            raise ValueError("durations and rates must be positive")
+        for name in ("height_sigma", "prominence_sigma"):
+            _check_real(name, getattr(self, name))
+        for name in ("tolerance_s", "min_width_s"):
+            _check_real(name, getattr(self, name), 0.0)
+        for name in ("duration_s", "rate_hz", "stream_s", "window_s"):
+            _check_real(name, getattr(self, name), 0.0, exclusive=True)
         if self.scenario == "open-world" and self.monitored_count > self.class_count:
             raise ValueError("monitored_count cannot exceed class_count")
         if not 0.0 <= self.motion_fraction <= 1.0:

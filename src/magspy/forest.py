@@ -6,11 +6,17 @@ feature subset by scanning midpoints between consecutive distinct sorted
 values; leaves keep class-count histograms, and prediction averages the
 normalized leaf histograms across trees.
 
-Each node scans all of its candidate features in one vectorized pass. The
-sums of squared class counts on either side of every cut are integer
-running sums, exact far below 2^53, so each Gini decrease is the same
-float, bit for bit, as a feature-by-feature scan over float class counts
-gives: the split search is faster without moving any model byte.
+All trees of a forest grow side by side. Each tree keeps its own
+depth-first stack, and one growth step pops the top node of every
+unfinished tree, so a step holds at most one node per tree. The step's
+class histograms, split searches and partitions into children run as a
+few array operations over all of its nodes, in batches of about 2^15
+(sample, candidate feature) elements. The split search sorts every
+(node, candidate) segment with one integer sort, and the sums of squared
+class counts on either side of every cut are integer running sums, exact
+far below 2^53, so each Gini decrease is the same float, bit for bit, as a
+feature-by-feature scan over float class counts gives. Growing the trees
+together moves no model byte.
 
 Determinism contract: training canonicalizes the input order by
 (label, feature values), per-tree random streams are derived up front from
@@ -29,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .preprocess import _round_half_up
-from .traces import Dataset, Trace1D, _check_count, _frozen_array
+from .traces import Dataset, Trace1D, _check_count, _check_real, _frozen_array
 
 #: Default number of binned-mean features per trace.
 DEFAULT_BIN_COUNT = 50
@@ -77,8 +83,9 @@ class ForestConfig:
         _check_count("seed", self.seed, 0)
         if self.max_features not in _MAX_FEATURES_RULES:
             raise ValueError(f"max_features must be one of {_MAX_FEATURES_RULES}")
-        if self.min_impurity_decrease < 0:
-            raise ValueError("min_impurity_decrease must be non-negative")
+        _check_real("min_impurity_decrease", self.min_impurity_decrease, 0.0)
+        if not isinstance(self.bootstrap, bool):
+            raise ValueError(f"bootstrap must be true or false, not {self.bootstrap!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -180,116 +187,235 @@ def _subset_size(rule: str, n_features: int) -> int:
     return min(n_features, max(1, math.ceil(math.sqrt(n_features))))
 
 
-def _best_split(x: np.ndarray, y: np.ndarray, hist: np.ndarray,
-                candidates: np.ndarray):
-    """Best (feature, threshold, decrease) over the candidate features, or None.
+#: About how many (sample, candidate feature) elements one batch of nodes
+#: spans in a growth step; a larger node makes a batch of its own.
+_BATCH_ELEMENTS = 1 << 15
 
-    ``x[:, j]`` holds the node's values of feature ``candidates[j]``
-    (``candidates`` ascending), ``y`` the node's class codes and ``hist``
-    their integer class histogram; the node has at least two samples.
-    Thresholds are midpoints between consecutive distinct sorted values.
-    Ties keep the first candidate in ascending feature order and, within a
-    feature, the lowest threshold.
 
-    All candidates are scanned in one pass. Walking a sorted column, the
-    sample of class c that is the r-th of its class to pass from the right
-    side to the left raises the left sum of squared class counts by 2r + 1
-    and changes the right one by 1 - 2(h_c - r), so both sums are integer
-    running sums. They never exceed n^2 < 2^53, so each converts exactly
-    to the float that summing the squared float class counts gives, and
-    every Gini decrease is bit-identical to the one a per-feature scan over
-    class-count prefixes computes with the same expression.
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s, s + n)`` over the (start, size) pairs."""
+    ends = np.cumsum(sizes)
+    return np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1])
+
+
+class _SplitSearch:
+    """Best (feature, threshold, decrease) of a batch of nodes in one segmented pass.
+
+    A segment is one node's samples under one of its candidate features.
+    One integer sort orders every segment of the batch at once, on keys
+    ``segment | dense rank | row``; the ranks are taken once per forest, so
+    equal values tie exactly, and thresholds still come from the values. A
+    second sort, on ``segment * C + class | slot``, gives each sample's rank
+    among the samples of its class in its segment. Walking a sorted
+    segment, the r-th sample of class c to pass from the right side to the
+    left raises the left sum of squared class counts by 2r + 1 and changes
+    the right one by 1 - 2(h_c - r), so both sums are a global integer
+    ``cumsum`` less the segment's base. They never exceed n^2 < 2^53, so
+    every Gini decrease is the float, bit for bit, that a per-feature scan
+    over class-count prefixes computes with the same expression. Ties keep
+    the first candidate in ascending feature order and, within a feature,
+    the lowest threshold.
     """
-    n, k = x.shape
-    cols = np.arange(k)
-    order = x.argsort(axis=0)
-    xs = x[order, cols]
-    ys = y[order]
-    # Rank of each sample among the samples of its class, in sorted order:
-    # a stable sort by class lists each class's positions in ascending order.
-    within = np.arange(n) - np.repeat(np.cumsum(hist) - hist, hist)
-    rank = np.empty_like(ys)
-    rank[ys.argsort(axis=0, kind="stable"), cols] = within[:, None]
-    step = 2 * rank[:-1] + 1
-    sq_sum = int(hist @ hist)
-    sq_left = step.cumsum(axis=0)
-    sq_right = sq_sum + (step - 2 * hist[ys[:-1]]).cumsum(axis=0)
-    n_left = np.arange(1, n, dtype=np.float64)[:, None]
-    n_right = n - n_left
-    gini_parent = 1.0 - float(sq_sum) / (n * n)
-    gini_left = 1.0 - sq_left / (n_left * n_left)
-    gini_right = 1.0 - sq_right / (n_right * n_right)
-    decrease = gini_parent - (n_left / n) * gini_left - (n_right / n) * gini_right
-    # Only a position between two distinct sorted values is a cut.
-    decrease[xs[:-1] == xs[1:]] = -np.inf
-    # Feature-major argmax: the first candidate holding the maximum, at its
-    # lowest threshold.
-    j, i = divmod(int(decrease.T.argmax()), n - 1)
-    if decrease[i, j] == -np.inf:
-        return None
-    threshold = (xs[i, j] + xs[i + 1, j]) / 2.0
-    return int(candidates[j]), float(threshold), float(decrease[i, j])
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, n_classes: int):
+        self.x = x
+        self.y = y
+        self.n_classes = n_classes
+        self.ranks = np.empty(x.shape, dtype=np.int64)
+        for j, column in enumerate(x.T):
+            self.ranks[:, j] = np.unique(column, return_inverse=True)[1]
+        self.rank_bits = int(self.ranks.max()).bit_length()
+
+    def __call__(self, rows: np.ndarray, sizes: np.ndarray, cand: np.ndarray,
+                 hist: np.ndarray):
+        """(nodes with a cut, their feature, threshold and Gini decrease).
+
+        Node j has ``sizes[j] >= 2`` samples, the next ``sizes[j]`` entries
+        of ``rows``, the ascending candidate features ``cand[j]`` and the
+        integer class histogram ``hist[j]``.
+        """
+        m, k = cand.shape
+        n_classes = self.n_classes
+        n_rows = rows.size
+        n_slots = k * n_rows
+        row_bits = int(n_rows - 1).bit_length()
+        seg_shift = self.rank_bits + row_bits
+        # Segment s = node * k + candidate, so the sorted segments run node
+        # by node, each node's candidates in ascending feature order.
+        node = np.repeat(np.arange(m), sizes)
+        keys = self.ranks[rows[:, None], cand[node]] << row_bits
+        keys |= ((node * k) << seg_shift | np.arange(n_rows))[:, None]
+        keys += np.arange(k) << seg_shift
+        keys = np.sort(keys, axis=None)
+        at = keys & ((1 << row_bits) - 1)  # batch row of each sorted slot
+        keys >>= row_bits  # segment << rank_bits | rank
+        seg = keys >> self.rank_bits
+        group = seg * n_classes + self.y[rows][at]
+        slot_bits = int(n_slots - 1).bit_length()
+        by_class = np.sort(group << slot_bits | np.arange(n_slots))
+        seg_sizes = np.repeat(sizes, k)
+        seg_start = np.cumsum(seg_sizes) - seg_sizes
+        seg_hist = np.repeat(hist, k, axis=0)
+        group_start = seg_start[:, None] + np.cumsum(seg_hist, axis=1) - seg_hist
+        within = np.arange(n_slots) - np.repeat(group_start.ravel(), seg_hist.ravel())
+        step = np.empty(n_slots, dtype=np.int64)
+        step[by_class & ((1 << slot_bits) - 1)] = 2 * within + 1
+        sq_sum = (hist * hist).sum(axis=1)
+        sq_left = np.cumsum(step)
+        sq_right = np.cumsum(step - 2 * seg_hist.ravel()[group])
+        last = seg_start + seg_sizes - 1
+        sq_left -= np.r_[0, sq_left[last[:-1]]][seg]
+        sq_right -= (np.r_[0, sq_right[last[:-1]]] - np.repeat(sq_sum, k))[seg]
+        n = sizes.astype(np.float64)
+        gini_parent = 1.0 - sq_sum / (n * n)
+        n_left = (np.arange(1, n_slots + 1) - seg_start[seg]).astype(np.float64)
+        n = np.repeat(n, k)[seg]
+        n_right = n - n_left
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at segment ends
+            gini_left = 1.0 - sq_left / (n_left * n_left)
+            gini_right = 1.0 - sq_right / (n_right * n_right)
+            decrease = (np.repeat(gini_parent, k)[seg] - (n_left / n) * gini_left
+                        - (n_right / n) * gini_right)
+        # Only a slot between two distinct values of one segment is a cut.
+        np.copyto(decrease[:-1], -np.inf, where=keys[:-1] == keys[1:])
+        decrease[last] = -np.inf
+        node_start = seg_start[::k]
+        best = np.maximum.reduceat(decrease, node_start)
+        hits = np.flatnonzero(decrease == np.repeat(best, sizes * k))
+        found = np.flatnonzero(best > -np.inf)
+        cut = hits[np.searchsorted(hits, node_start[found])]
+        feature = cand.ravel()[seg[cut]]
+        threshold = (self.x[rows[at[cut]], feature]
+                     + self.x[rows[at[cut + 1]], feature]) / 2.0
+        return found, feature, threshold, best[found]
 
 
-def _grow_tree(x: np.ndarray, y: np.ndarray, n_classes: int, config: ForestConfig,
-               rng: np.random.Generator) -> _Tree:
+def _partition(x, slots, rows, starts, sizes, feature, threshold) -> np.ndarray:
+    """Stably move each split node's left-going rows to the front of its slots.
+
+    The nodes own ``slots[starts[j]:starts[j] + sizes[j]]`` and hold the
+    consecutive entries of ``rows``; returns each node's left count.
+    """
+    go_right = x[rows, np.repeat(feature, sizes)] > np.repeat(threshold, sizes)
+    side = np.repeat(2 * np.arange(sizes.size), sizes) + go_right
+    slots[_ranges(starts, sizes)] = rows[np.argsort(side, kind="stable")]
+    return np.bincount(side, minlength=2 * sizes.size)[::2]
+
+
+def _grow_forest(x: np.ndarray, y: np.ndarray, n_classes: int, config: ForestConfig,
+                 rngs: list[np.random.Generator]):
+    """Grow one tree per generator, all side by side (see the module docstring).
+
+    Returns the trees' node tables (see :func:`_forest_tables`) and each
+    tree's node count.
+    """
     n, d = x.shape
-    if config.bootstrap:
-        sample = rng.integers(0, n, size=n)
-    else:
-        sample = np.arange(n)
+    n_trees = len(rngs)
     k = _subset_size(config.max_features, d)
+    search = _SplitSearch(x, y, n_classes)
+    # Tree t's samples fill slots [t*n, (t+1)*n). A node owns a contiguous
+    # range of its tree's slots, and a split partitions that range in place,
+    # so a finished tree's leaves tile its slots.
+    if config.bootstrap:
+        slots = np.concatenate([rng.integers(0, n, size=n) for rng in rngs])
+    else:
+        slots = np.tile(np.arange(n), n_trees)
+    # Per-tree depth-first stacks of (start, size, depth, parent if a right
+    # child else -1); a left child is always its parent's next node. The
+    # right child is pushed first, so each tree creates its nodes, and makes
+    # its draws, in pre-order.
+    stack = np.zeros((n_trees, min(config.max_depth, n) + 2, 4), dtype=np.int64)
+    stack[:, 0, 0] = np.arange(n_trees) * n
+    stack[:, 0, 1] = n
+    stack[:, 0, 3] = -1
+    height = np.ones(n_trees, dtype=np.intp)
+    n_nodes = np.zeros(n_trees, dtype=np.intp)
+    records = []
+    while True:
+        # One step pops the top node of every unfinished tree.
+        active = np.flatnonzero(height)
+        if not active.size:
+            break
+        height[active] -= 1
+        popped = stack[active, height[active]]
+        popped_id = n_nodes[active]
+        n_nodes[active] += 1
+        # A node joins the batch its first (sample, candidate) element falls in.
+        batch = (np.cumsum(popped[:, 1]) - popped[:, 1]) * k // _BATCH_ELEMENTS
+        bounds = (np.flatnonzero(np.diff(batch)) + 1).tolist()
+        for a, b in zip([0, *bounds], [*bounds, active.size]):
+            trees, node_id = active[a:b], popped_id[a:b]
+            start, size, depth, right_of = popped[a:b].T
+            m = trees.size
+            rows = slots[_ranges(start, size)]
+            hist = np.bincount(np.repeat(np.arange(m) * n_classes, size) + y[rows],
+                               minlength=m * n_classes).reshape(m, n_classes)
+            feature = np.full(m, -1)
+            threshold = np.full(m, np.nan)
+            grow = (size >= 2) & (depth < config.max_depth) & (hist.max(axis=1) < size)
+            if grow.any():
+                nodes = np.flatnonzero(grow)
+                if k == d:
+                    cand = np.broadcast_to(np.arange(d), (nodes.size, d))
+                else:
+                    cand = np.array([rngs[t].choice(d, size=k, replace=False)
+                                     for t in trees[nodes].tolist()])
+                    cand.sort(axis=1)
+                found, f, thr, dec = search(rows[np.repeat(grow, size)], size[nodes],
+                                            cand, hist[nodes])
+                keep = dec >= config.min_impurity_decrease
+                nodes = nodes[found[keep]]
+                feature[nodes] = f[keep]
+                threshold[nodes] = thr[keep]
+                if nodes.size:
+                    n_left = _partition(x, slots, rows[np.repeat(feature >= 0, size)],
+                                        start[nodes], size[nodes], f[keep], thr[keep])
+                    t = trees[nodes]
+                    child = np.column_stack((start[nodes], n_left, depth[nodes] + 1,
+                                             np.full_like(n_left, -1)))
+                    stack[t, height[t] + 1] = child  # the left child, popped next
+                    child[:, 0] += n_left
+                    child[:, 1] = size[nodes] - n_left
+                    child[:, 3] = node_id[nodes]
+                    stack[t, height[t]] = child
+                    height[t] += 2
+            records.append((np.column_stack((trees, node_id, right_of, size, feature))
+                            .astype(np.int32), threshold))
+    nodes, threshold = (np.concatenate(r) for r in zip(*records))
+    del records  # freed before the tables below are allocated: less peak memory
+    return _forest_tables(nodes, threshold, n_nodes, slots, y, n_classes), n_nodes
 
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    counts: list[np.ndarray] = []
 
-    # Stack entries: (sample indices, depth, parent node id, is_right_child).
-    # Right child is pushed first so creation order is pre-order DFS, which
-    # pins the per-node random draws regardless of everything else.
-    stack: list[tuple[np.ndarray, int, int, bool]] = [(sample, 0, -1, False)]
-    while stack:
-        idx, depth, parent, is_right = stack.pop()
-        node_id = len(feature)
-        if parent >= 0:
-            if is_right:
-                right[parent] = node_id
-            else:
-                left[parent] = node_id
+def _forest_tables(nodes, threshold, n_nodes, slots, y, n_classes):
+    """(feature, threshold, left, right, counts) of all trees, end to end.
 
-        yn = y[idx]
-        hist = np.bincount(yn, minlength=n_classes)
-        split = None
-        pure = hist.max() == idx.size
-        if idx.size >= 2 and depth < config.max_depth and not pure:
-            if k == d:
-                cand = np.arange(d)
-            else:
-                cand = np.sort(rng.choice(d, size=k, replace=False))
-            split = _best_split(x[idx[:, None], cand], yn, hist, cand)
-            if split is not None and split[2] < config.min_impurity_decrease:
-                split = None
-
-        if split is None:
-            feature.append(-1)
-            threshold.append(math.nan)
-            left.append(-1)
-            right.append(-1)
-            counts.append(hist)
-        else:
-            f, thr, _ = split
-            feature.append(f)
-            threshold.append(thr)
-            left.append(-1)
-            right.append(-1)
-            counts.append(np.zeros(n_classes))
-            go_left = x[idx, f] <= thr
-            stack.append((idx[~go_left], depth + 1, node_id, True))
-            stack.append((idx[go_left], depth + 1, node_id, False))
-
-    return _Tree(feature, threshold, left, right, np.asarray(counts))
+    A row of ``nodes`` is (tree, node id, parent if a right child else -1,
+    size, feature) and ``threshold`` holds the matching split thresholds.
+    Each tree's nodes come out as one contiguous pre-order block.
+    """
+    tree, node, right_of, size, feature = nodes.T
+    offset = np.cumsum(n_nodes) - n_nodes
+    at = offset[tree] + node
+    total = at.size
+    tree_feature = np.empty(total, dtype=np.intp)
+    tree_feature[at] = feature
+    tree_threshold = np.empty(total)
+    tree_threshold[at] = threshold
+    node_size = np.empty(total, dtype=np.intp)
+    node_size[at] = size
+    internal = feature >= 0
+    left = np.full(total, -1, dtype=np.intp)
+    left[at[internal]] = node[internal] + 1
+    right = np.full(total, -1, dtype=np.intp)
+    is_right = right_of >= 0
+    right[offset[tree[is_right]] + right_of[is_right]] = node[is_right]
+    # In pre-order a tree's leaves run left to right, so they tile its slots
+    # in order: each slot's sample counts in the leaf whose range holds it.
+    leaf = np.flatnonzero(tree_feature < 0)
+    counts = np.zeros((total, n_classes))
+    slot_count = np.repeat(leaf, node_size[leaf]) * n_classes + y[slots]
+    np.add.at(counts.reshape(-1), slot_count, 1.0)
+    return tree_feature, tree_threshold, left, right, counts
 
 
 def _dataset_to_arrays(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -317,8 +443,11 @@ def train_forest(train: Dataset, config: ForestConfig) -> ForestModel:
     x, y = _dataset_to_arrays(train)
     n_classes = len(train.class_names)
     streams = np.random.SeedSequence(config.seed).spawn(config.n_estimators)
-    trees = tuple(_grow_tree(x, y, n_classes, config, np.random.default_rng(s))
-                  for s in streams)
+    tables, n_nodes = _grow_forest(x, y, n_classes, config,
+                                   [np.random.default_rng(s) for s in streams])
+    bounds = np.cumsum(n_nodes)[:-1]
+    trees = tuple(_Tree(*arrays)
+                  for arrays in zip(*(np.split(table, bounds) for table in tables)))
     return ForestModel(trees=trees, class_names=train.class_names,
                        n_features=x.shape[1], config=config)
 

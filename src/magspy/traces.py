@@ -52,6 +52,19 @@ def _check_count(name: str, value, minimum: float = float("-inf")) -> None:
         raise ValueError(f"{name} must be at least {minimum}")
 
 
+def _check_real(name: str, value, minimum: float = float("-inf"), *,
+                exclusive: bool = False) -> None:
+    """Reject ``value`` unless it is a finite real number (not a bool) of at
+    least ``minimum``, or above it when ``exclusive``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    if not isinstance(value, numbers.Integral) and not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, not {value!r}")
+    if value < minimum or (exclusive and value == minimum):
+        bound = "greater than" if exclusive else "at least"
+        raise ValueError(f"{name} must be {bound} {minimum}")
+
+
 @dataclass(frozen=True, eq=False)
 class SensorRecording:
     """One fixed-rate capture of 3-axis magnetometer (and optionally gyroscope) data.

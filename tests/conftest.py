@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 
+from magspy.forest import (ForestConfig, ForestModel, _dataset_to_arrays,
+                           _subset_size, _Tree)
+
 
 def brute_force_best_split(x, y, n_classes):
     """Exhaustive best Gini split over every feature and midpoint.
@@ -34,7 +37,7 @@ def brute_force_best_split(x, y, n_classes):
 
 
 def reference_best_split(x, y, hist, candidates):
-    """The per-feature CART scan, with ``forest._best_split``'s signature.
+    """The per-feature CART scan, with the signature of ``_best_split`` below.
 
     Test oracle for the vectorized split search: one argsort, one one-hot
     class-count prefix and one float Gini sum per candidate feature, under
@@ -66,6 +69,133 @@ def reference_best_split(x, y, hist, candidates):
             threshold = (xs[cuts[i]] + xs[cuts[i] + 1]) / 2.0
             best = (int(f), float(threshold), float(decrease[i]))
     return best
+
+
+# Reference grower: one tree at a time, one node at a time, each node's
+# split from its own search. ``forest.train_forest`` must give the same
+# model bytes.
+
+def _best_split(x: np.ndarray, y: np.ndarray, hist: np.ndarray,
+                candidates: np.ndarray):
+    """Best (feature, threshold, decrease) over the candidate features, or None.
+
+    ``x[:, j]`` holds the node's values of feature ``candidates[j]``
+    (``candidates`` ascending), ``y`` the node's class codes and ``hist``
+    their integer class histogram; the node has at least two samples.
+    Thresholds are midpoints between consecutive distinct sorted values.
+    Ties keep the first candidate in ascending feature order and, within a
+    feature, the lowest threshold.
+
+    All candidates are scanned in one pass. Walking a sorted column, the
+    sample of class c that is the r-th of its class to pass from the right
+    side to the left raises the left sum of squared class counts by 2r + 1
+    and changes the right one by 1 - 2(h_c - r), so both sums are integer
+    running sums. They never exceed n^2 < 2^53, so each converts exactly
+    to the float that summing the squared float class counts gives, and
+    every Gini decrease is bit-identical to the one a per-feature scan over
+    class-count prefixes computes with the same expression.
+    """
+    n, k = x.shape
+    cols = np.arange(k)
+    order = x.argsort(axis=0)
+    xs = x[order, cols]
+    ys = y[order]
+    # Rank of each sample among the samples of its class, in sorted order:
+    # a stable sort by class lists each class's positions in ascending order.
+    within = np.arange(n) - np.repeat(np.cumsum(hist) - hist, hist)
+    rank = np.empty_like(ys)
+    rank[ys.argsort(axis=0, kind="stable"), cols] = within[:, None]
+    step = 2 * rank[:-1] + 1
+    sq_sum = int(hist @ hist)
+    sq_left = step.cumsum(axis=0)
+    sq_right = sq_sum + (step - 2 * hist[ys[:-1]]).cumsum(axis=0)
+    n_left = np.arange(1, n, dtype=np.float64)[:, None]
+    n_right = n - n_left
+    gini_parent = 1.0 - float(sq_sum) / (n * n)
+    gini_left = 1.0 - sq_left / (n_left * n_left)
+    gini_right = 1.0 - sq_right / (n_right * n_right)
+    decrease = gini_parent - (n_left / n) * gini_left - (n_right / n) * gini_right
+    # Only a position between two distinct sorted values is a cut.
+    decrease[xs[:-1] == xs[1:]] = -np.inf
+    # Feature-major argmax: the first candidate holding the maximum, at its
+    # lowest threshold.
+    j, i = divmod(int(decrease.T.argmax()), n - 1)
+    if decrease[i, j] == -np.inf:
+        return None
+    threshold = (xs[i, j] + xs[i + 1, j]) / 2.0
+    return int(candidates[j]), float(threshold), float(decrease[i, j])
+
+
+def _grow_tree(x: np.ndarray, y: np.ndarray, n_classes: int, config: ForestConfig,
+               rng: np.random.Generator) -> _Tree:
+    n, d = x.shape
+    if config.bootstrap:
+        sample = rng.integers(0, n, size=n)
+    else:
+        sample = np.arange(n)
+    k = _subset_size(config.max_features, d)
+
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    counts: list[np.ndarray] = []
+
+    # Stack entries: (sample indices, depth, parent node id, is_right_child).
+    # Right child is pushed first so creation order is pre-order DFS, which
+    # pins the per-node random draws regardless of everything else.
+    stack: list[tuple[np.ndarray, int, int, bool]] = [(sample, 0, -1, False)]
+    while stack:
+        idx, depth, parent, is_right = stack.pop()
+        node_id = len(feature)
+        if parent >= 0:
+            if is_right:
+                right[parent] = node_id
+            else:
+                left[parent] = node_id
+
+        yn = y[idx]
+        hist = np.bincount(yn, minlength=n_classes)
+        split = None
+        pure = hist.max() == idx.size
+        if idx.size >= 2 and depth < config.max_depth and not pure:
+            if k == d:
+                cand = np.arange(d)
+            else:
+                cand = np.sort(rng.choice(d, size=k, replace=False))
+            split = _best_split(x[idx[:, None], cand], yn, hist, cand)
+            if split is not None and split[2] < config.min_impurity_decrease:
+                split = None
+
+        if split is None:
+            feature.append(-1)
+            threshold.append(math.nan)
+            left.append(-1)
+            right.append(-1)
+            counts.append(hist)
+        else:
+            f, thr, _ = split
+            feature.append(f)
+            threshold.append(thr)
+            left.append(-1)
+            right.append(-1)
+            counts.append(np.zeros(n_classes))
+            go_left = x[idx, f] <= thr
+            stack.append((idx[~go_left], depth + 1, node_id, True))
+            stack.append((idx[go_left], depth + 1, node_id, False))
+
+    return _Tree(feature, threshold, left, right, np.asarray(counts))
+
+
+def reference_train_forest(train, config):
+    """``forest.train_forest`` as it was: each tree grown alone, one after another."""
+    x, y = _dataset_to_arrays(train)
+    n_classes = len(train.class_names)
+    streams = np.random.SeedSequence(config.seed).spawn(config.n_estimators)
+    trees = tuple(_grow_tree(x, y, n_classes, config, np.random.default_rng(s))
+                  for s in streams)
+    return ForestModel(trees=trees, class_names=train.class_names,
+                       n_features=x.shape[1], config=config)
 
 
 def reference_features(values, bins):

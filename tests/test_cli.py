@@ -414,6 +414,83 @@ class TestExitCodes:
         assert "magspy: error:" in err and field in err
         assert not (tmp_path / "sim" / "recordings.jsonl").exists()
 
+    # Forest configs that used to construct and then train silently wrong:
+    # a NaN minimum decrease never prunes, True counted as 1.0, and the
+    # truthy string "no" trained with bootstrap.
+    BAD_FOREST = {
+        "nan-min-decrease": ("min_impurity_decrease", '{"min_impurity_decrease": NaN}'),
+        "bool-min-decrease": ("min_impurity_decrease", '{"min_impurity_decrease": true}'),
+        "string-bootstrap": ("bootstrap", '{"bootstrap": "no"}'),
+    }
+
+    @staticmethod
+    def bad_forest_config(tmp_path, forest):
+        path = tmp_path / "bad-forest.json"
+        path.write_text('{"class_count": 2, "traces_per_class": 3, "duration_s": 6.0, '
+                        f'"forest": {forest}}}')
+        return str(path)
+
+    @pytest.mark.parametrize("name", sorted(BAD_FOREST))
+    def test_eval_rejects_bad_forest_config(self, tmp_path, capsys, name):
+        field, forest = self.BAD_FOREST[name]
+        assert main(["eval", "--config", self.bad_forest_config(tmp_path, forest),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "magspy: error:" in err and field in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("name", sorted(BAD_FOREST))
+    def test_train_rejects_bad_forest_config(self, tmp_path, capsys, name):
+        field, forest = self.BAD_FOREST[name]
+        sim = tmp_path / "sim"
+        main(["simulate", "--config", write_config(tmp_path, class_count=2,
+                                                    traces_per_class=3),
+              "--out", str(sim)])
+        capsys.readouterr()
+        assert main(["train", "--config", self.bad_forest_config(tmp_path, forest),
+                     "--data", str(sim / "recordings.jsonl"),
+                     "--out", str(tmp_path / "model")]) == 1
+        err = capsys.readouterr().err
+        assert "magspy: error:" in err and field in err
+        assert not (tmp_path / "model" / "model.json").exists()
+
+    @pytest.mark.parametrize("name", sorted(BAD_FOREST))
+    def test_load_model_rejects_bad_forest_config(self, tmp_path, capsys, name):
+        field, forest = self.BAD_FOREST[name]
+        leaf = tree_doc([-1], [None], [-1], [-1], [[1, 0]])
+        model = write_model_doc(tmp_path / "model.json", leaf)
+        doc = model.read_text().replace('"config": {"n_estimators": 1}',
+                                        f'"config": {forest}')
+        assert forest in doc
+        model.write_text(doc)
+        with pytest.raises(ValueError, match=field):
+            load_model(model)
+        data = tmp_path / "data.jsonl"
+        save_recordings([SensorRecording(
+            "d", 100.0, np.random.default_rng(0).normal(50, 1, (300, 3)))], data)
+        assert main(["classify", "--model", str(model), "--data", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert "magspy: error:" in err and field in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("tolerance_s", "NaN"), ("tolerance_s", "-1.0"), ("window_s", "-1"),
+        ("window_s", "0"), ("height_sigma", "Infinity"), ("prominence_sigma", "NaN"),
+        ("min_width_s", "NaN"), ("duration_s", "NaN"), ("rate_hz", "0.0"),
+        ("stream_s", "Infinity"), ("window_s", "true"),
+    ])
+    def test_eval_rejects_bad_stream_float_before_rendering(self, tmp_path, capsys,
+                                                             monkeypatch, field, value):
+        def render(*args, **kwargs):
+            raise AssertionError("rendered before the config was checked")
+
+        monkeypatch.setattr("magspy.experiments.render_recording", render)
+        path = tmp_path / "config.json"
+        path.write_text('{"scenario": "continuous", "class_count": 2, '
+                        f'"traces_per_class": 3, "{field}": {value}}}')
+        assert main(["eval", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "magspy: error:" in err and field in err
+
     def test_missing_config_file_is_validation_error(self, tmp_path, capsys):
         assert main(["eval", "--config", str(tmp_path / "nope.json")]) == 1
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from conftest import (MALFORMED_TREES, brute_force_best_split,
-                      reference_best_split, reference_features, tree_doc,
-                      write_model_doc)
+import conftest
+from conftest import (MALFORMED_TREES, _best_split, brute_force_best_split,
+                      reference_best_split, reference_features,
+                      reference_train_forest, tree_doc, write_model_doc)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -10,8 +11,8 @@ from hypothesis.extra import numpy as hnp
 from magspy import forest
 from magspy.experiments import (ExperimentConfig, _render_class_traces,
                                 _training_features)
-from magspy.forest import (FeatureVector, ForestConfig, _best_split, _featurize,
-                           cross_validate_grid, extract_features, load_model,
+from magspy.forest import (_BATCH_ELEMENTS, FeatureVector, ForestConfig,
+                           _featurize, _SplitSearch, cross_validate_grid, extract_features, load_model,
                            predict, predict_many, save_model, split_dataset,
                            train_forest)
 from magspy.preprocess import augment_with_inverse
@@ -193,14 +194,15 @@ class TestTrainAndPredict:
 
 
 @st.composite
-def split_nodes(draw):
+def split_nodes(draw, width=None):
     """A node's (n, k) feature block, class codes and class count.
 
     Values come from small integer grids or from normals rounded to 0-2
     decimals, so exact ties are common; some columns are made constant.
+    ``width`` fixes k; by default it is drawn from 1-6.
     """
     n = draw(st.integers(2, 40))
-    k = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 6)) if width is None else width
     n_classes = draw(st.integers(1, 20))
     if draw(st.booleans()):
         top = draw(st.integers(0, 5))
@@ -213,6 +215,16 @@ def split_nodes(draw):
     x[:, constant] = x[0, constant]
     y = draw(hnp.arrays(np.intp, n, elements=st.integers(0, n_classes - 1)))
     return x, y, n_classes
+
+
+def rendered_world(class_count, traces_per_class, seed):
+    """Training rows (each trace and its inverse) of a rendered 6 s closed world."""
+    cfg = ExperimentConfig(class_count=class_count, traces_per_class=traces_per_class,
+                           duration_s=6.0, seed=seed)
+    class_ids = [f"class-{i:03d}" for i in range(cfg.class_count)]
+    _, traces, _, labels, _ = _render_class_traces(
+        cfg, class_ids, cfg.traces_per_class, cfg.resolved_profiles(), "cw")
+    return Dataset.from_pairs(_training_features(traces, labels, 50))
 
 
 class TestSplitSearch:
@@ -233,35 +245,79 @@ class TestSplitSearch:
         assert _best_split(block, y, hist, cand) == want
         assert reference_best_split(block, y, hist, cand) == want
 
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_segmented_search_matches_brute_force_per_node(self, data):
+        # A batch of nodes whose rows lie shuffled in one shared matrix, each
+        # with its own ascending candidate subset of the same size.
+        d = data.draw(st.integers(1, 6))
+        k = data.draw(st.integers(1, d))
+        nodes = data.draw(st.lists(split_nodes(width=d), min_size=1, max_size=12))
+        n_classes = max(c for _, _, c in nodes)
+        sizes = np.array([y.size for _, y, _ in nodes])
+        where = np.array(data.draw(st.permutations(range(sizes.sum()))))
+        x = np.empty((sizes.sum(), d))
+        y = np.empty(sizes.sum(), dtype=np.intp)
+        x[where] = np.concatenate([block for block, _, _ in nodes])
+        y[where] = np.concatenate([codes for _, codes, _ in nodes])
+        cand = np.array([sorted(data.draw(st.lists(st.integers(0, d - 1), min_size=k,
+                                                   max_size=k, unique=True)))
+                         for _ in nodes])
+        hist = np.array([np.bincount(codes, minlength=n_classes)
+                         for _, codes, _ in nodes])
+        found, feature, threshold, decrease = _SplitSearch(x, y, n_classes)(
+            where, sizes, cand, hist)
+        got = [None] * len(nodes)
+        for j, f, t, g in zip(found.tolist(), feature.tolist(), threshold.tolist(),
+                              decrease.tolist()):
+            got[j] = (f, t, g)
+        for (block, codes, _), cols, result in zip(nodes, cand, got):
+            want = brute_force_best_split(block[:, cols], codes, n_classes)
+            if want is not None:
+                want = (int(cols[want[0]]), want[1], want[2])
+            assert result == want
+
     @pytest.fixture(scope="class")
     def closed_world(self):
-        cfg = ExperimentConfig(class_count=5, traces_per_class=8, duration_s=6.0,
-                               seed=3)
-        class_ids = [f"class-{i:03d}" for i in range(cfg.class_count)]
-        _, traces, _, labels, _ = _render_class_traces(
-            cfg, class_ids, cfg.traces_per_class, cfg.resolved_profiles(), "cw")
-        return Dataset.from_pairs(_training_features(traces, labels, 50))
+        return rendered_world(5, 8, seed=3)
 
-    @pytest.mark.parametrize("config", [
-        ForestConfig(n_estimators=10, seed=1),
-        ForestConfig(n_estimators=10, max_features="sqrt", max_depth=10,
-                     min_impurity_decrease=0.0, seed=2),
-        ForestConfig(n_estimators=2, max_features="all", bootstrap=False, seed=3),
-    ], ids=["log2-bootstrap", "sqrt-depth10-no-min-decrease", "all-no-bootstrap"])
+    @pytest.fixture(scope="class")
+    def large_closed_world(self):
+        data = rendered_world(6, 60, seed=5)
+        assert len(data) * 50 > _BATCH_ELEMENTS  # the root alone exceeds a batch
+        return data
+
+    @pytest.mark.parametrize("config, world", [
+        (ForestConfig(n_estimators=10, seed=1), "closed_world"),
+        (ForestConfig(n_estimators=10, max_features="sqrt", max_depth=10,
+                      min_impurity_decrease=0.0, seed=2), "closed_world"),
+        (ForestConfig(n_estimators=2, max_features="all", bootstrap=False, seed=3),
+         "closed_world"),
+        (ForestConfig(n_estimators=1, seed=6), "closed_world"),
+        (ForestConfig(n_estimators=2, max_features="all", seed=4),
+         "large_closed_world"),
+    ], ids=["log2-bootstrap", "sqrt-depth10-no-min-decrease", "all-no-bootstrap",
+            "one-tree", "root-above-batch-budget"])
     def test_model_bytes_match_per_feature_reference(self, tmp_path, monkeypatch,
-                                                     closed_world, config):
-        save_model(train_forest(closed_world, config), tmp_path / "vectorized.json")
+                                                     request, config, world):
+        # The whole-forest grower against the tree-by-tree grower, run with
+        # its per-node vectorized search and with the per-feature scan.
+        data = request.getfixturevalue(world)
+        save_model(train_forest(data, config), tmp_path / "forest.json")
+        save_model(reference_train_forest(data, config), tmp_path / "per-tree.json")
         calls = []
 
         def reference(*args):
             calls.append(1)
             return reference_best_split(*args)
 
-        monkeypatch.setattr(forest, "_best_split", reference)
-        save_model(train_forest(closed_world, config), tmp_path / "reference.json")
+        monkeypatch.setattr(conftest, "_best_split", reference)
+        save_model(reference_train_forest(data, config), tmp_path / "per-feature.json")
         assert calls
-        assert ((tmp_path / "vectorized.json").read_bytes()
-                == (tmp_path / "reference.json").read_bytes())
+        assert ((tmp_path / "forest.json").read_bytes()
+                == (tmp_path / "per-tree.json").read_bytes()
+                == (tmp_path / "per-feature.json").read_bytes())
 
 
 class TestSplitDataset:
