@@ -82,8 +82,7 @@ def _cmd_train(args) -> int:
     patterns = [_detect.average_pattern(
         [t for t, t_label in zip(traces, labels) if t_label == label], label)
         for label in sorted(class_names)]
-    bins = min(cfg.bin_count, min(len(t) for t in traces))
-    model, _ = _fit(cfg, traces, labels, class_names, bins)
+    model, _ = _fit(cfg, traces, labels, class_names)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.json")
@@ -97,7 +96,7 @@ def _cmd_classify(args) -> int:
     model = load_model(args.model)
     recordings = load_recordings(args.data)
     traces = [preprocess_recording(rec, args.rate) for rec in recordings]
-    predicted, probability = _predict_labels(model, traces, model.n_features)
+    predicted, probability = _predict_labels(model, traces)
     lines = []
     pairs = []
     for rec, label, prob in zip(recordings, predicted, probability):

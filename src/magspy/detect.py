@@ -3,7 +3,8 @@
 An averaged activity pattern is slid along a one-dimensional stream; local
 maxima of the correlation series that clear height, prominence, and width
 thresholds become candidate occurrence times, which can then be classified
-by cutting a window at each candidate.
+by cutting a window at each candidate. Templates and correlation series
+are :class:`magspy.traces._Series` types, like the traces they come from.
 
 Peak finding is array-based: local maxima come from runs of equal values,
 and prominences from a monotonic-stack pass over the peaks plus range-minimum
@@ -14,7 +15,6 @@ one, which therefore keeps the larger prominence.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,11 +23,11 @@ import numpy as np
 from .forest import ForestModel, _predict_labels
 from .metrics import ConfusionCounts
 from .preprocess import _round_half_up, normalize_unit_range
-from .traces import Trace1D, _check_count, _frozen_array, _positive_rate
+from .traces import Trace1D, _check_count, _check_real, _Series
 
 
 @dataclass(frozen=True, eq=False)
-class ActivityPattern:
+class ActivityPattern(_Series):
     """Averaged, mean-centered activity template for one class.
 
     :func:`average_pattern` guarantees zero mean; the type itself does not
@@ -35,33 +35,16 @@ class ActivityPattern:
     expressible in tests and tooling.
     """
 
-    values: np.ndarray
-    rate_hz: float
     class_label: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "values",
-                           _frozen_array(self.values, name="pattern values"))
-        object.__setattr__(self, "rate_hz", _positive_rate(self.rate_hz))
-
-    def __len__(self) -> int:
-        return self.values.size
+    _values_name = "pattern values"
 
 
 @dataclass(frozen=True, eq=False)
-class CorrelationSeries:
+class CorrelationSeries(_Series):
     """c[k] for every alignment k of the pattern inside the stream."""
 
-    values: np.ndarray
-    rate_hz: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "values",
-                           _frozen_array(self.values, name="series values"))
-        object.__setattr__(self, "rate_hz", _positive_rate(self.rate_hz))
-
-    def __len__(self) -> int:
-        return self.values.size
+    _values_name = "series values"
 
 
 @dataclass(frozen=True)
@@ -71,9 +54,8 @@ class PeakThresholds:
     min_width_samples: int = 1
 
     def __post_init__(self):
-        for name in ("min_height", "min_prominence"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _check_real("min_height", self.min_height)
+        _check_real("min_prominence", self.min_prominence)
         _check_count("min_width_samples", self.min_width_samples, 1)
 
 
@@ -224,7 +206,7 @@ def detect_and_classify(stream: Trace1D, series: CorrelationSeries,
     windows = [normalize_unit_range(Trace1D(stream.values[k:k + window],
                                             stream.rate_hz, normalized=False))
                for k in peaks]
-    labels, _ = _predict_labels(model, windows, model.n_features)
+    labels, _ = _predict_labels(model, windows)
     return [Detection(time_index=int(k), score=float(series.values[k]),
                       predicted_label=label)
             for k, label in zip(peaks, labels)]
@@ -238,8 +220,7 @@ def match_detections(detections, truth, tolerance_s: float,
     may claim the nearest unmatched truth event within the tolerance.
     Matching is by time only; labels are scored separately.
     """
-    if not math.isfinite(tolerance_s) or tolerance_s < 0:
-        raise ValueError("tolerance_s must be finite and non-negative")
+    _check_real("tolerance_s", tolerance_s, 0.0)
     truth = list(truth)
     if len({t for t, _ in truth}) != len(truth):
         raise ValueError("truth event indices must be distinct")

@@ -123,9 +123,10 @@ class ExperimentConfig:
         for name in ("monitored_count", "unmonitored_train_count",
                      "background_count", "distractor_count", "calibration_cycles"):
             _check_count(name, getattr(self, name), 0)
-        for name in ("height_sigma", "prominence_sigma"):
+        for name in ("height_sigma", "prominence_sigma", "snr_db"):
             _check_real(name, getattr(self, name))
-        for name in ("tolerance_s", "min_width_s"):
+        for name in ("tolerance_s", "min_width_s", "start_jitter_s", "time_warp",
+                     "level_jitter", "background_drift", "motion_peak_rate"):
             _check_real(name, getattr(self, name), 0.0)
         for name in ("duration_s", "rate_hz", "stream_s", "window_s"):
             _check_real(name, getattr(self, name), 0.0, exclusive=True)
@@ -233,13 +234,15 @@ def _training_features(traces, labels, bins: int) -> list:
             for pair, label in zip(views, labels) for row in pair]
 
 
-def _fit(cfg: ExperimentConfig, traces, labels, class_names, bins: int):
+def _fit(cfg: ExperimentConfig, traces, labels, class_names):
     """Fit stage: pick a forest config, then grow it on augmented training rows.
 
-    With ``cfg.grid`` set, cross-validation on the plain rows, one per
-    training trace, picks the config; otherwise it is ``cfg.forest``.
+    Rows hold ``cfg.bin_count`` features, or as many as the shortest trace
+    has samples. With ``cfg.grid`` set, cross-validation on the plain rows,
+    one per training trace, picks the config; otherwise it is ``cfg.forest``.
     Returns (model, chosen config).
     """
+    bins = min(cfg.bin_count, min(len(t) for t in traces))
     pairs = _training_features(traces, labels, bins)
     chosen = cfg.forest
     if cfg.grid:
@@ -274,11 +277,10 @@ def _closed_world_core(cfg: ExperimentConfig) -> _ClosedWorldBundle:
         cfg, class_ids, cfg.traces_per_class, profiles, "cw")
     train_items, test_items = _split(cfg, labels, class_ids)
 
-    bins = min(cfg.bin_count, len(traces[0]))
     fit_traces, fit_labels = _take(traces, train_items)
-    model, chosen = _fit(cfg, fit_traces, fit_labels, class_ids, bins)
+    model, chosen = _fit(cfg, fit_traces, fit_labels, class_ids)
     test_traces, test_labels = _take(traces, test_items)
-    predicted, _ = _predict_labels(model, test_traces, bins)
+    predicted, _ = _predict_labels(model, test_traces)
     pairs = list(zip(test_labels, predicted))
     report = evaluate(pairs, tuple(class_ids))
     if len(profiles) > 1:
@@ -319,7 +321,6 @@ def run_open_world(cfg: ExperimentConfig) -> EvalReport:
 
     has_pool = bool(unmonitored_train) or bool(background)
     class_names = tuple(monitored) + ((UNMONITORED_LABEL,) if has_pool else ())
-    bins = min(cfg.bin_count, len(traces[0]))
 
     fit_traces, fit_labels = _take(traces, train_items)
     if unmonitored_train:
@@ -327,7 +328,7 @@ def run_open_world(cfg: ExperimentConfig) -> EvalReport:
             cfg, unmonitored_train, cfg.traces_per_class, profiles, "ow-pool")
         fit_traces += pool
         fit_labels += [UNMONITORED_LABEL] * len(pool)
-    model, chosen = _fit(cfg, fit_traces, fit_labels, class_names, bins)
+    model, chosen = _fit(cfg, fit_traces, fit_labels, class_names)
 
     test_traces, test_labels = _take(traces, test_items)
     if background:
@@ -335,7 +336,7 @@ def run_open_world(cfg: ExperimentConfig) -> EvalReport:
             cfg, background, cfg.background_traces_each, profiles, "ow-bg")
         test_traces += bg_traces
         test_labels += [UNMONITORED_LABEL] * len(bg_traces)
-    predicted, _ = _predict_labels(model, test_traces, bins)
+    predicted, _ = _predict_labels(model, test_traces)
     report = evaluate(list(zip(test_labels, predicted)), class_names)
     monitored_precisions = [report.per_class[name][0] for name in monitored]
     defined = [p for p in monitored_precisions if p is not None]
@@ -366,11 +367,10 @@ def run_sampling_sweep(cfg: ExperimentConfig) -> list[tuple[float, float]]:
     for rate in cfg.rates:
         traces = (native if rate == cfg.rate_hz
                   else [preprocess_recording(rec, rate) for rec in recordings])
-        bins = min(cfg.bin_count, len(traces[0]))
         fit_traces, fit_labels = _take(traces, train_items)
-        model, _ = _fit(cfg, fit_traces, fit_labels, class_ids, bins)
+        model, _ = _fit(cfg, fit_traces, fit_labels, class_ids)
         test_traces, test_labels = _take(traces, test_items)
-        predicted, _ = _predict_labels(model, test_traces, bins)
+        predicted, _ = _predict_labels(model, test_traces)
         accuracy = float(np.mean([p == label
                                   for p, label in zip(predicted, test_labels)]))
         results.append((float(rate), accuracy))
@@ -514,7 +514,6 @@ def run_movement(cfg: ExperimentConfig) -> MovementResult:
     """
     core = _closed_world_core(cfg)
     rate = cfg.rate_hz
-    bins = min(cfg.bin_count, len(core.traces[0]))
     n_test = len(core.test_items)
     n_motion = int(round(cfg.motion_fraction * n_test))
     rng = np.random.default_rng(_child_seed(cfg.seed, "movemix"))
@@ -534,7 +533,7 @@ def run_movement(cfg: ExperimentConfig) -> MovementResult:
             seed=_child_seed(cfg.seed, "motion-render", slot), label=label)
         test_traces[slot] = preprocess_recording(test_recs[slot])
 
-    predicted, _ = _predict_labels(core.model, test_traces, bins)
+    predicted, _ = _predict_labels(core.model, test_traces)
     correct = np.asarray([p == label for p, label in zip(predicted, test_labels)])
 
     result = filter_dataset(test_recs, cfg.motion_thresholds)

@@ -129,7 +129,7 @@ class _Tree:
         self.left = np.asarray(left, dtype=np.intp)
         self.right = np.asarray(right, dtype=np.intp)
         self.counts = np.asarray(counts, dtype=np.float64)
-        totals = self.counts.sum(axis=1, keepdims=True)
+        totals = self.counts.sum(axis=-1, keepdims=True)  # 0 nodes too
         safe = np.where(totals > 0, totals, 1.0)
         self.leaf_probs = self.counts / safe
 
@@ -154,11 +154,13 @@ class ForestModel:
         n_classes = len(self.class_names)
         if len(set(self.class_names)) != n_classes:
             raise ValueError("class_names contains duplicates")
+        if not self.trees:
+            raise ValueError("trees must hold at least one tree")
         for tree in self.trees:
             n = tree.n_nodes
-            if any(a.shape != (n,) for a in (tree.feature, tree.threshold,
-                                             tree.left, tree.right)):
-                raise ValueError("tree arrays must hold one entry per node")
+            if n == 0 or any(a.shape != (n,) for a in (tree.feature, tree.threshold,
+                                                       tree.left, tree.right)):
+                raise ValueError("trees need nodes and one entry per node in each array")
             if tree.counts.shape != (n, n_classes):
                 raise ValueError("each counts row must hold one entry per class")
             internal = tree.feature >= 0
@@ -527,14 +529,14 @@ def extract_features(trace: Trace1D, bin_count: int = DEFAULT_BIN_COUNT,
     return FeatureVector(_featurize([trace], bin_count)[0], label=label)
 
 
-def _predict_labels(model: ForestModel, traces,
-                    bins: int) -> tuple[list[str], list[float]]:
-    """Featurize traces into one matrix and classify it in one ``predict_many`` call.
+def _predict_labels(model: ForestModel, traces) -> tuple[list[str], list[float]]:
+    """Featurize traces at the model's ``n_features`` bins and classify them in
+    one ``predict_many`` call.
 
     Returns each trace's predicted label and that label's probability, the
     same values :func:`predict` gives trace by trace.
     """
-    codes, probs = predict_many(model, _featurize(traces, bins))
+    codes, probs = predict_many(model, _featurize(traces, model.n_features))
     labels = [model.class_names[int(c)] for c in codes]
     return labels, probs[np.arange(codes.size), codes].tolist()
 

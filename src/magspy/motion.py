@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .traces import SensorRecording
+from .traces import SensorRecording, _samples3
 
 #: Defaults calibrated on simulated hand-held jitter (rad/s).
 DEFAULT_MEAN_THRESHOLD = 0.05
@@ -32,8 +32,10 @@ class MotionThresholds:
     max_threshold: float = DEFAULT_MAX_THRESHOLD
 
     def __post_init__(self):
-        if self.mean_threshold < 0 or self.max_threshold < 0:
-            raise ValueError("thresholds must be non-negative")
+        for name in ("mean_threshold", "max_threshold"):  # inf is valid: never reject
+            value = getattr(self, name)
+            if isinstance(value, bool) or not value >= 0:
+                raise ValueError(f"{name} must be a non-negative number, not {value!r}")
 
 
 class FilterResult(NamedTuple):
@@ -45,9 +47,7 @@ class FilterResult(NamedTuple):
 
 def motion_metrics(gyro) -> MotionMetrics:
     """Reduce 3-axis rotation rates to (mean magnitude, max magnitude)."""
-    g = np.asarray(gyro, dtype=np.float64)
-    if g.ndim != 2 or g.shape[1] != 3 or g.shape[0] == 0:
-        raise ValueError("gyro must be a non-empty sequence of 3-axis samples")
+    g = _samples3(gyro, "gyro")
     magnitude = np.sqrt((g * g).sum(axis=1))
     return MotionMetrics(mean_rate=float(magnitude.mean()),
                          max_rate=float(magnitude.max()))

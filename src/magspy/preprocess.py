@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traces import SensorRecording, Trace1D, _frozen_array
+from .traces import SensorRecording, Trace1D, _frozen_array, _samples3
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,9 +83,7 @@ def pca_first_component(mag, rate_hz: float = 1.0) -> PcaResult:
     orientation is deterministic. Raises ValueError("degenerate trace") when
     all samples coincide.
     """
-    x = np.asarray(mag, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != 3:
-        raise ValueError("expected a sequence of 3-axis samples")
+    x = _samples3(mag, "mag")
     n = x.shape[0]
     if n < 2:
         raise ValueError("need at least 2 samples")

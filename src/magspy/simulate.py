@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .preprocess import pca_first_component
-from .traces import (CpuPattern, SensorRecording, _check_count, _frozen_array,
-                     _positive_rate)
+from .traces import (CpuPattern, SensorRecording, _check_count, _check_real,
+                     _frozen_array, _positive_rate)
 
 #: A plausible ambient geomagnetic field, microtesla.
 DEFAULT_BASELINE_FIELD = (20.0, 5.0, 43.0)
@@ -67,9 +67,8 @@ class DeviceProfile:
             raise ValueError("baseline_field and coupling_dir must be 3-vectors")
         if abs(float(np.linalg.norm(coupling)) - 1.0) > 1e-9:
             raise ValueError("coupling_dir must be a unit vector")
-        if not all(math.isfinite(v) and v >= 0
-                   for v in (self.gain, self.noise_std, self.gyro_noise_std)):
-            raise ValueError("gain and noise levels must be finite and non-negative")
+        for name in ("gain", "noise_std", "gyro_noise_std"):
+            _check_real(name, getattr(self, name), 0.0)
         object.__setattr__(self, "baseline_field", baseline)
         object.__setattr__(self, "coupling_dir", coupling)
         object.__setattr__(self, "gain", float(self.gain))
@@ -90,8 +89,7 @@ class RotationEvent:
     def __post_init__(self):
         _check_count("start_index", self.start_index, 0)
         _check_count("duration_samples", self.duration_samples, 1)
-        if not math.isfinite(self.peak_rate_rad_s) or self.peak_rate_rad_s < 0:
-            raise ValueError("peak rate must be finite and non-negative")
+        _check_real("peak_rate_rad_s", self.peak_rate_rad_s, 0.0)
         axis = _frozen_array(self.axis)
         if axis.shape != (3,) or abs(float(np.linalg.norm(axis)) - 1.0) > 1e-9:
             raise ValueError("axis must be a 3-component unit vector")
@@ -134,8 +132,7 @@ def make_class_signature(class_id: str, duration_s: float, rate_hz: float,
     structure cancel in coarse block averages, so heavy downsampling erases
     class identity while high rates resolve it.
     """
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    _check_real("duration_s", duration_s, 0.0, exclusive=True)
     n = int(round(duration_s * rate_hz))
     if n < 1:
         raise ValueError("duration too short for the requested rate")
@@ -202,10 +199,9 @@ def make_class_signature(class_id: str, duration_s: float, rate_hz: float,
 def synth_square_pattern(high_s: float, low_s: float, repeats: int,
                          rate_hz: float) -> CpuPattern:
     """Alternating full/idle load cycles; the stock calibration stimulus."""
-    if high_s <= 0 or low_s <= 0:
-        raise ValueError("durations must be positive")
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
+    _check_real("high_s", high_s, 0.0, exclusive=True)
+    _check_real("low_s", low_s, 0.0, exclusive=True)
+    _check_count("repeats", repeats, 1)
     high_n = int(round(high_s * rate_hz))
     low_n = int(round(low_s * rate_hz))
     if high_n < 1 or low_n < 1:

@@ -4,6 +4,9 @@ Units are fixed package-wide: magnetometer samples in microtesla, gyroscope
 samples in rad/s, rates in Hz. Sampling is uniform; ``rate_hz`` is
 authoritative and no per-sample timestamps are kept. All types are immutable
 after construction, with read-only arrays, so they are safe to share.
+The series types here and in :mod:`magspy.detect` share one base,
+:class:`_Series`; other numeric fields go through :func:`_check_count`
+and :func:`_check_real`.
 """
 
 from __future__ import annotations
@@ -36,14 +39,6 @@ def _frozen_array(values, *, name: str | None = None) -> np.ndarray:
     return arr
 
 
-def _positive_rate(rate_hz) -> float:
-    """``rate_hz`` as a float, which must be finite and positive."""
-    rate = float(rate_hz)
-    if not np.isfinite(rate) or rate <= 0:
-        raise ValueError("rate_hz must be positive")
-    return rate
-
-
 def _check_count(name: str, value, minimum: float = float("-inf")) -> None:
     """Reject ``value`` unless it is an integer (not a bool) of at least ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -65,6 +60,22 @@ def _check_real(name: str, value, minimum: float = float("-inf"), *,
         raise ValueError(f"{name} must be {bound} {minimum}")
 
 
+def _positive_rate(rate_hz) -> float:
+    """``rate_hz`` as a float, which must be a finite positive number."""
+    _check_real("rate_hz", rate_hz, 0.0, exclusive=True)
+    return float(rate_hz)
+
+
+def _samples3(values, name: str) -> np.ndarray:
+    """``values`` as a read-only, non-empty (n, 3) array of finite samples."""
+    arr = _frozen_array(values)
+    if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] == 0:
+        raise ValueError(f"{name} must hold one or more 3-component samples")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite values")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class SensorRecording:
     """One fixed-rate capture of 3-axis magnetometer (and optionally gyroscope) data.
@@ -82,25 +93,11 @@ class SensorRecording:
     meta: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        mag = _frozen_array(self.mag)
-        if mag.ndim != 2 or mag.shape[1] != 3:
-            raise ValueError("mag must be a sequence of 3-component samples")
-        if mag.shape[0] == 0:
-            raise ValueError("mag must be non-empty")
-        if not np.isfinite(mag).all():
-            raise ValueError("mag contains non-finite values")
-        object.__setattr__(self, "mag", mag)
-
+        object.__setattr__(self, "mag", _samples3(self.mag, "mag"))
         if self.gyro is not None:
-            gyro = _frozen_array(self.gyro)
-            if gyro.ndim != 2 or gyro.shape[1] != 3:
-                raise ValueError("gyro must be a sequence of 3-component samples")
-            if gyro.shape[0] != mag.shape[0]:
-                raise ValueError(
-                    f"gyro length {gyro.shape[0]} != mag length {mag.shape[0]}"
-                )
-            if not np.isfinite(gyro).all():
-                raise ValueError("gyro contains non-finite values")
+            gyro = _samples3(self.gyro, "gyro")
+            if gyro.shape != self.mag.shape:
+                raise ValueError(f"gyro length {len(gyro)} != mag length {len(self)}")
             object.__setattr__(self, "gyro", gyro)
 
         object.__setattr__(self, "rate_hz", _positive_rate(self.rate_hz))
@@ -122,17 +119,21 @@ class SensorRecording:
 
 
 @dataclass(frozen=True, eq=False)
-class CpuPattern:
-    """A discrete CPU-utilization-over-time signal, values in [0, 1]."""
+class _Series:
+    """Finite values sampled uniformly at ``rate_hz``: the base of the series types.
+
+    Subclasses add fields after these two and checks after this
+    ``__post_init__``.
+    """
 
     values: np.ndarray
     rate_hz: float
 
+    _values_name = "values"  # opens the error message for bad values
+
     def __post_init__(self):
-        v = _frozen_array(self.values, name="values")
-        if v.min() < 0.0 or v.max() > 1.0:
-            raise ValueError("utilization values must lie in [0, 1]")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values",
+                           _frozen_array(self.values, name=self._values_name))
         object.__setattr__(self, "rate_hz", _positive_rate(self.rate_hz))
 
     def __len__(self) -> int:
@@ -144,30 +145,29 @@ class CpuPattern:
 
 
 @dataclass(frozen=True, eq=False)
-class Trace1D:
+class CpuPattern(_Series):
+    """A discrete CPU-utilization-over-time signal, values in [0, 1]."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.values.min() < 0.0 or self.values.max() > 1.0:
+            raise ValueError("utilization values must lie in [0, 1]")
+
+
+@dataclass(frozen=True, eq=False)
+class Trace1D(_Series):
     """A one-dimensional real-valued trace at a fixed rate.
 
     ``normalized`` is True only when the values are guaranteed to lie in
     [0, 1] (set by :func:`magspy.preprocess.normalize_unit_range`).
     """
 
-    values: np.ndarray
-    rate_hz: float
     normalized: bool = False
 
     def __post_init__(self):
-        v = _frozen_array(self.values, name="values")
-        if self.normalized and (v.min() < 0.0 or v.max() > 1.0):
+        super().__post_init__()
+        if self.normalized and (self.values.min() < 0.0 or self.values.max() > 1.0):
             raise ValueError("normalized trace has values outside [0, 1]")
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "rate_hz", _positive_rate(self.rate_hz))
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    @property
-    def duration_s(self) -> float:
-        return len(self) / self.rate_hz
 
 
 @dataclass(frozen=True, eq=False)

@@ -133,7 +133,10 @@ class TestSimulateTrainClassify:
     @pytest.mark.parametrize("field, override", [
         ("n_features", {"n_features": 1.5}),
         ("class_names", {"class_names": ["A", "A", "B"]}),
-    ], ids=["fractional-n-features", "duplicate-class-names"])
+        ("trees", {"trees": []}),
+        ("nodes", {"trees": [tree_doc([], [], [], [], [])]}),
+    ], ids=["fractional-n-features", "duplicate-class-names", "no-trees",
+            "tree-without-nodes"])
     def test_classify_rejects_bad_model_header(self, tmp_path, capsys, field,
                                                override):
         leaf = tree_doc([-1], [None], [-1], [-1], [[1, 0, 0]])
@@ -142,9 +145,11 @@ class TestSimulateTrainClassify:
         data = tmp_path / "data.jsonl"
         save_recordings([SensorRecording(
             "d", 100.0, np.random.default_rng(0).normal(50, 1, (300, 3)))], data)
-        assert main(["classify", "--model", str(model), "--data", str(data)]) == 1
+        assert main(["classify", "--model", str(model), "--data", str(data),
+                     "--out", str(tmp_path / "pred")]) == 1
         err = capsys.readouterr().err
         assert "magspy: error:" in err and field in err
+        assert not (tmp_path / "pred" / "predictions.jsonl").exists()
 
     def test_classify_to_stdout(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -271,6 +276,23 @@ class TestDetectCommand:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flag", ["--motion-mean-threshold",
+                                      "--motion-max-threshold"])
+    def test_movement_eval_rejects_nan_motion_threshold(self, tmp_path, capsys,
+                                                        monkeypatch, flag):
+        # A NaN threshold compares false, so it used to reject nothing.
+        def render(*args, **kwargs):
+            raise AssertionError("rendered before the thresholds were checked")
+
+        monkeypatch.setattr("magspy.experiments.render_recording", render)
+        config = write_config(tmp_path, scenario="movement", class_count=3,
+                              traces_per_class=10)
+        out_dir = tmp_path / "out"
+        assert main(["eval", "--config", config, "--out", str(out_dir),
+                     flag, "nan"]) == 1
+        assert flag[9:].replace("-", "_") in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_simulate_with_motion_script(self, tmp_path, capsys):
         config = write_config(tmp_path, class_count=2, traces_per_class=2)
         script = tmp_path / "motion.json"
@@ -375,11 +397,15 @@ class TestExitCodes:
          '"duration_samples": 100, "peak_rate_rad_s": 2.0, "axis": [0, 0, 1]}]}'),
         ("motion-script", '{"rotation_events": [{"start_index": 50, '
          '"duration_samples": true, "peak_rate_rad_s": 2.0, "axis": [0, 0, 1]}]}'),
+        ("motion-script", '{"rotation_events": [{"start_index": 50, '
+         '"duration_samples": 100, "peak_rate_rad_s": true, "axis": [0, 0, 1]}]}'),
         ("device-profile", '{"gain": "3"}'),
         ("device-profile", '{"gain": 3.0, "noise_std": NaN}'),
+        ("device-profile", '{"gain": true}'),
         ("config", '{"class_count": "2", "traces_per_class": 2}'),
     ], ids=["nan-peak-rate", "fractional-start-index", "bool-start-index",
-            "bool-duration", "string-gain", "nan-noise-std", "string-class-count"])
+            "bool-duration", "bool-peak-rate", "string-gain", "nan-noise-std",
+            "bool-gain", "string-class-count"])
     def test_bad_outside_document_is_validation_error(self, tmp_path, capsys,
                                                       kind, doc):
         path = tmp_path / f"{kind}.json"
@@ -476,7 +502,9 @@ class TestExitCodes:
         ("tolerance_s", "NaN"), ("tolerance_s", "-1.0"), ("window_s", "-1"),
         ("window_s", "0"), ("height_sigma", "Infinity"), ("prominence_sigma", "NaN"),
         ("min_width_s", "NaN"), ("duration_s", "NaN"), ("rate_hz", "0.0"),
-        ("stream_s", "Infinity"), ("window_s", "true"),
+        ("stream_s", "Infinity"), ("window_s", "true"), ("start_jitter_s", "NaN"),
+        ("start_jitter_s", "true"), ("time_warp", "NaN"), ("level_jitter", "-5"),
+        ("background_drift", "NaN"), ("motion_peak_rate", "NaN"), ("snr_db", "true"),
     ])
     def test_eval_rejects_bad_stream_float_before_rendering(self, tmp_path, capsys,
                                                              monkeypatch, field, value):

@@ -196,8 +196,10 @@ class TestThresholdValidation:
     @pytest.mark.parametrize("args", [
         (float("nan"), 0.0, 1), (0.0, float("nan"), 1), (float("inf"), 0.0, 1),
         (0.0, float("-inf"), 1), (0.0, 0.0, 0), (0.0, 0.0, True), (0.0, 0.0, 2.5),
+        (True, 0.0, 1), (0.0, False, 1),
     ], ids=["nan-height", "nan-prominence", "inf-height", "inf-prominence",
-            "zero-width", "bool-width", "fractional-width"])
+            "zero-width", "bool-width", "fractional-width", "bool-height",
+            "bool-prominence"])
     def test_bad_peak_thresholds_rejected(self, args):
         with pytest.raises(ValueError):
             PeakThresholds(*args)

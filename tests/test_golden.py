@@ -1,8 +1,9 @@
 """Byte-identity gate: pinned sha256 digests of small-scale outputs.
 
 Speed-ups to training, featurizing or detection must leave every output
-byte where it was. These digests pin three trained models and two
-``magspy eval`` reports at small scale. A change that moves an output on
+byte where it was. These digests pin three trained models, two
+``magspy eval`` reports, and the outputs of one ``simulate -> train ->
+classify -> detect`` run at small scale. A change that moves an output on
 purpose updates the digest here and says why in the same change.
 """
 
@@ -63,3 +64,55 @@ def test_eval_report_bytes(tmp_path, capsys, doc, digest):
     config.write_text(json.dumps(doc))
     assert main(["eval", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     assert sha256(tmp_path / "out" / "report.json") == digest
+
+
+def _cli_config(tmp_path, name, **overrides):
+    doc = {"class_count": 3, "traces_per_class": 8, "duration_s": 6.0,
+           "forest": {"n_estimators": 40, "max_depth": 20, "seed": 0}, **overrides}
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_classify_and_detect_bytes(tmp_path, capsys):
+    # simulate -> train -> classify held-out recordings -> detect --model
+    # --truth on 20 s streams: pins the float-sensitive probabilities and
+    # detection scores as well as the model.
+    config = _cli_config(tmp_path, "config.json")
+    streams = _cli_config(tmp_path, "streams.json", class_count=2,
+                          traces_per_class=2, duration_s=20.0)
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "sim")]) == 0
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "held"),
+                 "--seed", "5"]) == 0
+    assert main(["simulate", "--config", streams, "--out",
+                 str(tmp_path / "streams"), "--seed", "7"]) == 0
+    model = tmp_path / "model"
+    assert main(["train", "--config", config, "--data",
+                 str(tmp_path / "sim" / "recordings.jsonl"), "--out", str(model)]) == 0
+    assert main(["classify", "--model", str(model / "model.json"), "--data",
+                 str(tmp_path / "held" / "recordings.jsonl"),
+                 "--out", str(tmp_path / "pred")]) == 0
+    truth = tmp_path / "truth.jsonl"
+    truth.write_text("".join(json.dumps(row) + "\n" for row in (
+        {"stream": 0, "time_s": 0.0, "label": "class-000"},
+        {"stream": 2, "time_s": 0.5, "label": "class-001"})))
+    assert main(["detect", "--pattern", str(model / "pattern_class-000.json"),
+                 "--data", str(tmp_path / "streams" / "recordings.jsonl"),
+                 "--model", str(model / "model.json"), "--min-height", "0",
+                 "--min-prominence", "0.5", "--window-s", "6", "--truth", str(truth),
+                 "--out", str(tmp_path / "det")]) == 0
+    digests = {name: sha256(tmp_path / name) for name in (
+        "model/model.json", "pred/predictions.jsonl", "pred/report.json",
+        "det/detections.jsonl", "det/scores.json")}
+    assert digests == {
+        "model/model.json":
+            "d439be622bad1e4afeacd3693ca248438d9dac883bd9a25276a541cfb8aad32e",
+        "pred/predictions.jsonl":
+            "d338e49803a6e3ad017c1195631016f8b4ffd893e1106f881af8453c67682a2c",
+        "pred/report.json":
+            "d9bf746abb2e8fa8c1b1b0c10c1606af5cd77029dbfb8ea35a99198fef8123d6",
+        "det/detections.jsonl":
+            "d120e8cde2769ea7fb95d209e06ef27db5ae656862347120f46b4224b783bfbd",
+        "det/scores.json":
+            "c7d28aadcd16e4c9aba834b1e4d291d0077b538b1cfce541659f871d11f15854",
+    }

@@ -1,8 +1,10 @@
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from magspy.detect import ActivityPattern, CorrelationSeries
 from magspy.traces import (CpuPattern, Dataset, SensorRecording, Trace1D,
                            load_recordings, save_recordings)
 
@@ -62,6 +64,27 @@ class TestTrace1D:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Trace1D([], 1.0)
+
+
+@pytest.mark.parametrize("cls, names, extra", [
+    (CpuPattern, ("values", "rate_hz"), ()),
+    (Trace1D, ("values", "rate_hz", "normalized"), (True,)),
+    (ActivityPattern, ("values", "rate_hz", "class_label"), ("a",)),
+    (CorrelationSeries, ("values", "rate_hz"), ()),
+], ids=["cpu-pattern", "trace", "activity-pattern", "correlation-series"])
+def test_series_types_share_one_base(cls, names, extra):
+    series = cls([0.0, 0.5, 1.0], 2.0, *extra)
+    assert tuple(f.name for f in fields(series)) == names
+    assert tuple(getattr(series, name) for name in names[2:]) == extra
+    assert (len(series), series.duration_s) == (3, 1.5)
+    assert not series.values.flags.writeable
+    assert replace(series, rate_hz=4.0).duration_s == 0.75
+    for rate in (float("nan"), 0.0, True):
+        with pytest.raises(ValueError, match="rate_hz"):
+            cls([0.5], rate, *extra)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="non-finite"):
+            cls([0.5, value], 2.0, *extra)
 
 
 class TestDataset:
