@@ -126,14 +126,21 @@ class ExperimentConfig:
         for name in ("height_sigma", "prominence_sigma", "snr_db"):
             _check_real(name, getattr(self, name))
         for name in ("tolerance_s", "min_width_s", "start_jitter_s", "time_warp",
-                     "level_jitter", "background_drift", "motion_peak_rate"):
+                     "level_jitter", "background_drift", "motion_peak_rate",
+                     "motion_fraction"):
             _check_real(name, getattr(self, name), 0.0)
-        for name in ("duration_s", "rate_hz", "stream_s", "window_s"):
+        for name in ("duration_s", "rate_hz", "stream_s", "window_s", "train_fraction"):
             _check_real(name, getattr(self, name), 0.0, exclusive=True)
+        if self.motion_fraction > 1.0:
+            raise ValueError("motion_fraction must lie in [0, 1]")
+        if self.train_fraction >= 1.0:
+            raise ValueError("train_fraction must lie strictly between 0 and 1")
+        for rate in self.rates:
+            _check_real("rates", rate, 0.0, exclusive=True)
+        for gain in self.gains:
+            _check_real("gains", gain, 0.0)
         if self.scenario == "open-world" and self.monitored_count > self.class_count:
             raise ValueError("monitored_count cannot exceed class_count")
-        if not 0.0 <= self.motion_fraction <= 1.0:
-            raise ValueError("motion_fraction must lie in [0, 1]")
 
     def resolved_profiles(self) -> tuple[DeviceProfile, ...]:
         if self.device_profiles:
@@ -424,6 +431,9 @@ def _detect_in_streams(cfg: ExperimentConfig,
         raise ValueError("stream shorter than one signature")
     width_samples = max(1, int(round(cfg.min_width_s * rate)))
 
+    signatures = {class_id: make_class_signature(class_id, cfg.duration_s, rate,
+                                                 cfg.seed)
+                  for class_id in core.class_ids}
     tp = fp = fn = 0
     label_hits: list[bool] = []
     for s in range(cfg.stream_count):
@@ -436,9 +446,9 @@ def _detect_in_streams(cfg: ExperimentConfig,
 
         cpu = np.zeros(stream_len)
         for class_id, offset in zip(embeds, offsets):
-            base = make_class_signature(class_id, cfg.duration_s, rate, cfg.seed)
             pat = perturb_pattern(
-                base, _child_seed(cfg.seed, "stream-perturb", s, class_id),
+                signatures[class_id],
+                _child_seed(cfg.seed, "stream-perturb", s, class_id),
                 start_jitter_s=cfg.start_jitter_s, time_warp=cfg.time_warp,
                 level_jitter=cfg.level_jitter,
                 background_drift=cfg.background_drift)

@@ -18,6 +18,12 @@ far below 2^53, so each Gini decrease is the same float, bit for bit, as a
 feature-by-feature scan over float class counts gives. Growing the trees
 together moves no model byte.
 
+Prediction walks the whole forest at once. A model keeps one walk table,
+every tree's nodes end to end, and all (row, tree) pairs step down it
+together, one level per step, so a call runs as many steps as its deepest
+path. Each row's leaf histograms are then summed tree by tree in tree
+order, the same float additions as a walk of one tree after another.
+
 Determinism contract: training canonicalizes the input order by
 (label, feature values), per-tree random streams are derived up front from
 the config seed, and within a tree all draws happen in pre-order node
@@ -179,6 +185,17 @@ class ForestModel:
             leaf_totals = tree.counts[~internal].sum(axis=1)
             if np.any(tree.counts < 0) or np.any(leaf_totals <= 0):
                 raise ValueError("leaf histograms must be non-negative with positive total")
+        # The walk table of predict_many: every tree's nodes end to end, its
+        # child links shifted by its offset, so no walk leaves its tree.
+        sizes = np.array([tree.n_nodes for tree in self.trees])
+        offset = np.cumsum(sizes) - sizes
+        object.__setattr__(self, "_walk", (
+            offset,
+            np.concatenate([tree.feature for tree in self.trees]),
+            np.concatenate([tree.threshold for tree in self.trees]),
+            np.concatenate([tree.left + o for tree, o in zip(self.trees, offset)]),
+            np.concatenate([tree.right + o for tree, o in zip(self.trees, offset)]),
+        ))
 
 
 def _subset_size(rule: str, n_features: int) -> int:
@@ -190,7 +207,8 @@ def _subset_size(rule: str, n_features: int) -> int:
 
 
 #: About how many (sample, candidate feature) elements one batch of nodes
-#: spans in a growth step; a larger node makes a batch of its own.
+#: spans in a growth step, a larger node making a batch of its own, and
+#: about how many (row, tree) pairs one block of predict_many walks.
 _BATCH_ELEMENTS = 1 << 15
 
 
@@ -455,28 +473,40 @@ def train_forest(train: Dataset, config: ForestConfig) -> ForestModel:
 
 
 def predict_many(model: ForestModel, x) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized prediction: (class codes, probability matrix) for rows of x."""
+    """Vectorized prediction: (class codes, probability matrix) for rows of x.
+
+    Every (row, tree) pair walks down at once, one level per step, through
+    the model's walk table; rows go in blocks of about ``_BATCH_ELEMENTS``
+    pairs. Each row's probabilities are the sum of its leaf histograms in
+    tree order, divided by the tree count.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != model.n_features:
         raise ValueError(
             f"feature dimension {x.shape[1]} != model dimension {model.n_features}"
         )
+    offset, feature, threshold, left, right = model._walk
     n = x.shape[0]
+    n_trees = len(model.trees)
     probs = np.zeros((n, len(model.class_names)))
-    row_ids = np.arange(n)
-    for tree in model.trees:
-        node = np.zeros(n, dtype=np.intp)
-        while True:
-            feat = tree.feature[node]
-            active = feat >= 0
-            if not active.any():
-                break
-            rows = row_ids[active]
-            cur = node[active]
-            go_left = x[rows, feat[active]] <= tree.threshold[cur]
-            node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
-        probs += tree.leaf_probs[node]
-    probs /= len(model.trees)
+    block = max(1, _BATCH_ELEMENTS // n_trees)
+    for a in range(0, n, block):
+        rows = x[a:a + block]
+        # Pair p is (row p // n_trees, tree p % n_trees), so the nodes
+        # reshape to one row of tree nodes per input row.
+        node = np.tile(offset, rows.shape[0])
+        live = np.flatnonzero(feature[node] >= 0)  # pairs at internal nodes
+        while live.size:
+            cur = node[live]
+            go_left = rows[live // n_trees, feature[cur]] <= threshold[cur]
+            cur = np.where(go_left, left[cur], right[cur])
+            node[live] = cur
+            live = live[feature[cur] >= 0]
+        node = node.reshape(-1, n_trees) - offset
+        out = probs[a:a + block]
+        for t, tree in enumerate(model.trees):
+            out += tree.leaf_probs[node[:, t]]
+    probs /= n_trees
     return np.argmax(probs, axis=1), probs
 
 

@@ -61,8 +61,8 @@ class DeviceProfile:
     gyro_noise_std: float = 0.0
 
     def __post_init__(self):
-        baseline = _frozen_array(self.baseline_field)
-        coupling = _frozen_array(self.coupling_dir)
+        baseline = _frozen_array(self.baseline_field, name="baseline_field")
+        coupling = _frozen_array(self.coupling_dir, name="coupling_dir")
         if baseline.shape != (3,) or coupling.shape != (3,):
             raise ValueError("baseline_field and coupling_dir must be 3-vectors")
         if abs(float(np.linalg.norm(coupling)) - 1.0) > 1e-9:
@@ -90,7 +90,7 @@ class RotationEvent:
         _check_count("start_index", self.start_index, 0)
         _check_count("duration_samples", self.duration_samples, 1)
         _check_real("peak_rate_rad_s", self.peak_rate_rad_s, 0.0)
-        axis = _frozen_array(self.axis)
+        axis = _frozen_array(self.axis, name="axis")
         if axis.shape != (3,) or abs(float(np.linalg.norm(axis)) - 1.0) > 1e-9:
             raise ValueError("axis must be a 3-component unit vector")
         object.__setattr__(self, "axis", axis)

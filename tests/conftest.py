@@ -198,6 +198,32 @@ def reference_train_forest(train, config):
                        n_features=x.shape[1], config=config)
 
 
+def reference_predict_many(model, x):
+    """``forest.predict_many`` as it was: one walk per tree, tree after tree.
+
+    Test oracle for the forest-wide walk: each tree steps all rows down a
+    level at a time, and the leaf histograms are summed in tree order.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    n = x.shape[0]
+    probs = np.zeros((n, len(model.class_names)))
+    row_ids = np.arange(n)
+    for tree in model.trees:
+        node = np.zeros(n, dtype=np.intp)
+        while True:
+            feat = tree.feature[node]
+            active = feat >= 0
+            if not active.any():
+                break
+            rows = row_ids[active]
+            cur = node[active]
+            go_left = x[rows, feat[active]] <= tree.threshold[cur]
+            node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
+        probs += tree.leaf_probs[node]
+    probs /= len(model.trees)
+    return np.argmax(probs, axis=1), probs
+
+
 def reference_features(values, bins):
     """The per-trace binned-mean loop that ``forest._featurize`` replaced.
 

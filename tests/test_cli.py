@@ -399,13 +399,18 @@ class TestExitCodes:
          '"duration_samples": true, "peak_rate_rad_s": 2.0, "axis": [0, 0, 1]}]}'),
         ("motion-script", '{"rotation_events": [{"start_index": 50, '
          '"duration_samples": 100, "peak_rate_rad_s": true, "axis": [0, 0, 1]}]}'),
+        ("motion-script", '{"rotation_events": [{"start_index": 50, '
+         '"duration_samples": 100, "peak_rate_rad_s": 2.0, "axis": [NaN, 0, 0]}]}'),
         ("device-profile", '{"gain": "3"}'),
         ("device-profile", '{"gain": 3.0, "noise_std": NaN}'),
         ("device-profile", '{"gain": true}'),
+        ("device-profile", '{"gain": 3.0, "coupling_dir": [NaN, 0, 0]}'),
+        ("device-profile", '{"gain": 3.0, "baseline_field": [Infinity, 0, 50]}'),
         ("config", '{"class_count": "2", "traces_per_class": 2}'),
     ], ids=["nan-peak-rate", "fractional-start-index", "bool-start-index",
-            "bool-duration", "bool-peak-rate", "string-gain", "nan-noise-std",
-            "bool-gain", "string-class-count"])
+            "bool-duration", "bool-peak-rate", "nan-axis", "string-gain",
+            "nan-noise-std", "bool-gain", "nan-coupling-dir", "inf-baseline-field",
+            "string-class-count"])
     def test_bad_outside_document_is_validation_error(self, tmp_path, capsys,
                                                       kind, doc):
         path = tmp_path / f"{kind}.json"
@@ -505,6 +510,11 @@ class TestExitCodes:
         ("stream_s", "Infinity"), ("window_s", "true"), ("start_jitter_s", "NaN"),
         ("start_jitter_s", "true"), ("time_warp", "NaN"), ("level_jitter", "-5"),
         ("background_drift", "NaN"), ("motion_peak_rate", "NaN"), ("snr_db", "true"),
+        ("motion_fraction", "true"), ("motion_fraction", "1.5"),
+        ("rates", "[100.0, true]"), ("rates", "[100.0, NaN]"), ("rates", "[100.0, -1.0]"),
+        ("rates", "[100.0, 0]"), ("gains", "[NaN]"), ("gains", "[-1.0]"),
+        ("train_fraction", "1.5"), ("train_fraction", "1.0"), ("train_fraction", "0"),
+        ("train_fraction", "true"),
     ])
     def test_eval_rejects_bad_stream_float_before_rendering(self, tmp_path, capsys,
                                                              monkeypatch, field, value):

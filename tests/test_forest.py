@@ -1,9 +1,15 @@
+import contextlib
+import json
+import math
+import signal
+
 import numpy as np
 import pytest
 import conftest
 from conftest import (MALFORMED_TREES, _best_split, brute_force_best_split,
                       reference_best_split, reference_features,
-                      reference_train_forest, tree_doc, write_model_doc)
+                      reference_predict_many, reference_train_forest, tree_doc,
+                      write_model_doc)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -320,6 +326,74 @@ class TestSplitSearch:
                 == (tmp_path / "per-feature.json").read_bytes())
 
 
+# Hand-written one-feature trees for the walk. In "left-child-not-next" the
+# root's left child is node 2 and node 1's is node 4: no child is its
+# parent's next node.
+HAND_TREES = {
+    "single-leaf": tree_doc([-1], [None], [-1], [-1], [[2, 1]]),
+    "left-child-not-next": tree_doc([0, 0, -1, -1, -1], [0.5, 0.7, None, None, None],
+                                    [2, 4, -1, -1, -1], [1, 3, -1, -1, -1],
+                                    [None, None, [1, 0], [0, 1], [1, 1]]),
+}
+
+_LOG2 = ForestConfig(n_estimators=10, seed=1)
+
+
+def assert_same_prediction(model, x):
+    codes, probs = predict_many(model, x)
+    want_codes, want_probs = reference_predict_many(model, x)
+    assert np.array_equal(codes, want_codes)
+    assert probs.tobytes() == want_probs.tobytes()
+
+
+class TestPredictMany:
+    """The forest-wide walk against the tree-by-tree walk it replaced."""
+
+    @pytest.fixture(scope="class")
+    def closed_world(self):
+        return rendered_world(5, 8, seed=3)
+
+    @pytest.mark.parametrize("model, rows, block", [
+        (_LOG2, [100], None),
+        (ForestConfig(n_estimators=10, max_features="sqrt", max_depth=10,
+                      min_impurity_decrease=0.0, seed=2), [100], None),
+        (ForestConfig(n_estimators=2, max_features="all", bootstrap=False, seed=3),
+         [100], None),
+        (ForestConfig(n_estimators=1, seed=6), [100], None),
+        (ForestConfig(n_estimators=10, max_depth=2, seed=5), [100], None),
+        ("single-leaf", [20], None),
+        ("left-child-not-next", [20], None),
+        (_LOG2, [1], None),
+        (_LOG2, [1, 2, 3], 1),
+        (_LOG2, [1, 2, 3, 4, 5], 2),
+        (_LOG2, [2, 3, 4, 6, 7], 3),
+    ], ids=["log2-bootstrap", "sqrt-depth10-no-min-decrease", "all-no-bootstrap",
+            "one-tree", "depth2-mixed-leaves", "single-leaf", "left-child-not-next",
+            "single-row", "blocks-of-1-row", "blocks-of-2-rows", "blocks-of-3-rows"])
+    def test_matches_tree_by_tree_walk(self, tmp_path, monkeypatch, closed_world,
+                                       model, rows, block):
+        rng = np.random.default_rng(4)
+        if isinstance(model, str):
+            model = load_model(write_model_doc(tmp_path / "model.json",
+                                               HAND_TREES[model]))
+            # Uniform values and both thresholds exactly, for the <= side.
+            x = np.concatenate([[0.5, 0.7], rng.uniform(0, 1, max(rows))])[:, None]
+        else:
+            model = train_forest(closed_world, model)
+            x = np.stack([fv.values for fv, _ in closed_world.items])
+            x = np.concatenate([x, rng.uniform(0, 1, x.shape)])
+            # Put some rows exactly on their first tree's root threshold.
+            root = model.trees[0]
+            if root.feature[0] >= 0:
+                x[::3, root.feature[0]] = root.threshold[0]
+        if block is not None:
+            n_trees = len(model.trees)
+            monkeypatch.setattr(forest, "_BATCH_ELEMENTS",
+                                block * n_trees + n_trees - 1)
+        for n in rows:
+            assert_same_prediction(model, x[:n])
+
+
 class TestSplitDataset:
     def test_per_class_counts(self):
         rows = [([float(i), float(c)], f"c{c}") for c in range(3) for i in range(10)]
@@ -426,6 +500,77 @@ class TestModelSerialization:
             load_model(path)
 
 
+@st.composite
+def model_documents(draw):
+    """A small ``magspy-forest`` document of random trees, often broken.
+
+    Each tree is drawn valid: random splits, children numbered in either
+    order after their parent, finite thresholds and non-negative counts.
+    Then up to three random edits set a child link, feature, threshold or
+    counts row of some node to any value: a link may point back, to itself,
+    to a shared or missing node, a threshold may be missing or non-finite
+    and a counts row missing, negative or of the wrong width.
+    """
+    n_classes = draw(st.integers(1, 3))
+    n_features = draw(st.integers(1, 3))
+    counts_row = st.lists(st.integers(0, 3), min_size=n_classes,
+                          max_size=n_classes).map(lambda row: [row[0] or 1, *row[1:]])
+    trees = []
+    for _ in range(draw(st.integers(1, 3))):
+        tree = tree_doc([], [], [], [], [])
+        pending = [(None, None, 0)]  # (parent, link, depth), popped in node order
+        while pending:
+            parent, link, depth = pending.pop()
+            node = len(tree["feature"])
+            if parent is not None:
+                tree[link][parent] = node
+            split = depth < 3 and draw(st.booleans())
+            tree["feature"].append(draw(st.integers(0, n_features - 1)) if split else -1)
+            tree["threshold"].append(draw(st.floats(-2.0, 2.0)) if split else None)
+            tree["left"].append(-1)
+            tree["right"].append(-1)
+            tree["counts"].append(None if split else draw(counts_row))
+            if split:
+                links = ["left", "right"]
+                if draw(st.booleans()):
+                    links.reverse()  # the right child gets the next node
+                pending += [(node, link, depth + 1) for link in reversed(links)]
+        trees.append(tree)
+    for _ in range(draw(st.integers(0, 3))):
+        tree = draw(st.sampled_from(trees))
+        n = len(tree["feature"])
+        node = draw(st.integers(0, n - 1))
+        key, values = draw(st.sampled_from([
+            ("left", st.integers(-1, n)),
+            ("right", st.integers(-1, n)),
+            ("feature", st.integers(-2, n_features)),
+            ("threshold", st.one_of(st.none(), st.floats(-2.0, 2.0),
+                                    st.sampled_from([math.nan, math.inf]))),
+            ("counts", st.one_of(st.none(), st.lists(st.integers(-1, 3),
+                                                     min_size=n_classes - 1,
+                                                     max_size=n_classes + 1))),
+        ]))
+        tree[key][node] = draw(values)
+    return {"format": "magspy-forest", "config": {"n_estimators": len(trees)},
+            "class_names": [f"c{i}" for i in range(n_classes)],
+            "n_features": n_features, "trees": trees}
+
+
+@contextlib.contextmanager
+def time_budget(seconds):
+    """Raise ``TimeoutError`` in the block once it has run ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"over the {seconds} s budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestModelValidation:
     @pytest.mark.parametrize("name", sorted(MALFORMED_TREES))
     def test_malformed_tree_rejected(self, tmp_path, name):
@@ -439,6 +584,31 @@ class TestModelValidation:
         model = load_model(write_model_doc(tmp_path / "model.json", tree))
         codes, _ = predict_many(model, [[0.0], [1.0]])
         assert codes.tolist() == [0, 1]
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(doc=model_documents(), data=st.data())
+    def test_random_document_is_rejected_or_walks_like_the_reference(
+            self, tmp_path, doc, data):
+        # The forest-wide walk ends only because load_model rejects every
+        # node table that is not a forest: fuzz the loader with small random
+        # tables, links, thresholds and counts.
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        try:
+            model = load_model(path)
+        except ValueError:
+            return
+        values = [t for tree in doc["trees"] for t in tree["threshold"]
+                  if t is not None and np.isfinite(t)]
+        element = st.floats(-2.0, 2.0)
+        if values:
+            element = st.one_of(element, st.sampled_from(values))
+        x = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 6)),
+                                              model.n_features), elements=element))
+        with time_budget(5.0):
+            assert_same_prediction(model, x)
 
     def test_trained_forest_passes_validation(self, tmp_path):
         rng = np.random.default_rng(3)

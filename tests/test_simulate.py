@@ -231,6 +231,18 @@ class TestProfileConfig:
         with pytest.raises(ValueError, match="unit vector"):
             DeviceProfile((0.0, 0.0, 50.0), (1.0, 1.0, 0.0), 1.0, 1.0, 100.0)
 
+    @pytest.mark.parametrize("baseline, coupling, name", [
+        ((0.0, 0.0, 50.0), (np.nan, 0.0, 0.0), "coupling_dir"),
+        ((np.inf, 0.0, 50.0), (0.0, 0.0, 1.0), "baseline_field"),
+    ])
+    def test_non_finite_vector_rejected(self, baseline, coupling, name):
+        with pytest.raises(ValueError, match=name):
+            DeviceProfile(baseline, coupling, 1.0, 1.0, 100.0)
+
+    def test_non_finite_rotation_axis_rejected(self):
+        with pytest.raises(ValueError, match="axis"):
+            RotationEvent(10, 50, 2.0, (np.nan, 0.0, 0.0))
+
     def test_from_dict_with_snr(self):
         profile = profile_from_dict({"snr_db": 12.0, "noise_std": 2.0})
         assert profile.gain == pytest.approx(2.0 * 10 ** 0.6)
