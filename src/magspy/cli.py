@@ -49,12 +49,12 @@ def _cmd_simulate(args) -> int:
     if not args.out:
         raise ValueError("simulate requires --out")
     cfg = _load_config(args.config, args.seed, args.device_profile)
+    script = load_motion_script(args.motion_script) if args.motion_script else None
     profiles = cfg.resolved_profiles()
     class_ids = _class_ids("class", cfg.class_count)
     recordings, _, patterns, labels, profile_ids = _render_class_traces(
         cfg, class_ids, cfg.traces_per_class, profiles, "cw")
-    if args.motion_script:
-        script = load_motion_script(args.motion_script)
+    if script is not None:
         recordings = [
             render_recording(pattern, profiles[p_idx], motion=script,
                              seed=_child_seed(cfg.seed, "motion-script", i),

@@ -18,11 +18,12 @@ far below 2^53, so each Gini decrease is the same float, bit for bit, as a
 feature-by-feature scan over float class counts gives. Growing the trees
 together moves no model byte.
 
-Prediction walks the whole forest at once. A model keeps one walk table,
-every tree's nodes end to end, and all (row, tree) pairs step down it
-together, one level per step, so a call runs as many steps as its deepest
-path. Each row's leaf histograms are then summed tree by tree in tree
-order, the same float additions as a walk of one tree after another.
+A model is one node table: every tree's nodes end to end, child links
+indexing the whole table, and one class-count row per leaf. Prediction
+walks all (row, tree) pairs down it together, one level per step, and sums
+each row's normalized leaf histograms tree by tree in tree order, the same
+float additions as a walk of one tree after another. ``ForestModel.trees``
+reads the table back as per-tree views, which is what ``save_model`` writes.
 
 Determinism contract: training canonicalizes the input order by
 (label, feature values), per-tree random streams are derived up front from
@@ -33,10 +34,12 @@ permutations (without bootstrap).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,6 +101,8 @@ class ForestConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ForestConfig":
+        if not isinstance(obj, dict):
+            raise ValueError(f"forest config must be an object, not {obj!r}")
         unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown forest config fields: {sorted(unknown)}")
@@ -109,93 +114,90 @@ class ForestConfig:
 
 def default_config_grid(seed: int = 0) -> tuple[ForestConfig, ...]:
     """Stock hyperparameter grid for cross-validated selection."""
-    grid = []
-    for n_estimators in (100, 500, 1100):
-        for max_features in ("log2", "sqrt"):
-            for max_depth in (10, 50):
-                for min_dec in (0.0, 1e-4):
-                    grid.append(ForestConfig(n_estimators, max_features, max_depth,
-                                             min_dec, True, seed))
-    return tuple(grid)
+    return tuple(ForestConfig(n_estimators, max_features, max_depth, min_dec, True, seed)
+                 for n_estimators, max_features, max_depth, min_dec in itertools.product(
+                     (100, 500, 1100), ("log2", "sqrt"), (10, 50), (0.0, 1e-4)))
 
 
-class _Tree:
-    """Flat array representation of one decision tree.
+class TreeView(NamedTuple):
+    """One tree of a model: child links count from its root, and ``counts``
+    holds a class-count row per node (zeros at internal nodes)."""
 
-    ``feature[i] == -1`` marks a leaf; internal nodes route samples with
-    value <= threshold to ``left``. ``counts`` holds per-node class-count
-    histograms (meaningful at leaves).
-    """
-
-    __slots__ = ("feature", "threshold", "left", "right", "counts", "leaf_probs")
-
-    def __init__(self, feature, threshold, left, right, counts):
-        self.feature = np.asarray(feature, dtype=np.intp)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.intp)
-        self.right = np.asarray(right, dtype=np.intp)
-        self.counts = np.asarray(counts, dtype=np.float64)
-        totals = self.counts.sum(axis=-1, keepdims=True)  # 0 nodes too
-        safe = np.where(totals > 0, totals, 1.0)
-        self.leaf_probs = self.counts / safe
-
-    @property
-    def n_nodes(self) -> int:
-        return self.feature.size
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    counts: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class ForestModel:
-    """A trained forest: trees, class order, feature dimension, and its config."""
+    """A trained forest: one node table, class order, feature dimension, config.
 
-    trees: tuple[_Tree, ...]
+    Tree t holds ``sizes[t]`` nodes, and ``feature``, ``threshold``, ``left``
+    and ``right`` list every tree's nodes end to end, each tree in pre-order.
+    ``feature[i] == -1`` marks a leaf; an internal node routes samples with
+    value <= threshold to ``left``. Child links index the whole table.
+    ``counts`` holds one integer class-count row per leaf, in node order.
+    """
+
+    sizes: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    counts: np.ndarray
     class_names: tuple[str, ...]
     n_features: int
     config: ForestConfig
 
     def __post_init__(self):
-        # Every walk from the root must end at a leaf: children come after
-        # their parent in pre-order and no node is shared, so the nodes form
-        # a tree and each step strictly increases the node index.
+        # Every walk from a root ends at a leaf of its tree: each step moves to
+        # a later node of the same tree, and no node has two parents.
         n_classes = len(self.class_names)
         if len(set(self.class_names)) != n_classes:
             raise ValueError("class_names contains duplicates")
-        if not self.trees:
+        if not self.sizes.size:
             raise ValueError("trees must hold at least one tree")
-        for tree in self.trees:
-            n = tree.n_nodes
-            if n == 0 or any(a.shape != (n,) for a in (tree.feature, tree.threshold,
-                                                       tree.left, tree.right)):
-                raise ValueError("trees need nodes and one entry per node in each array")
-            if tree.counts.shape != (n, n_classes):
-                raise ValueError("each counts row must hold one entry per class")
-            internal = tree.feature >= 0
-            if np.any(tree.feature[internal] >= self.n_features):
-                raise ValueError("split feature index exceeds feature dimension")
-            parents = np.flatnonzero(internal)
-            children = np.concatenate([tree.left[internal], tree.right[internal]])
-            if internal.any() and (children.min() < 0 or children.max() >= n):
-                raise ValueError("internal node with missing child")
-            if np.any(children <= np.concatenate([parents, parents])):
-                raise ValueError("child node index must exceed its parent's")
-            if np.unique(children).size != children.size:
-                raise ValueError("node with more than one parent")
-            if not np.isfinite(tree.threshold[internal]).all():
-                raise ValueError("internal node threshold must be finite")
-            leaf_totals = tree.counts[~internal].sum(axis=1)
-            if np.any(tree.counts < 0) or np.any(leaf_totals <= 0):
-                raise ValueError("leaf histograms must be non-negative with positive total")
-        # The walk table of predict_many: every tree's nodes end to end, its
-        # child links shifted by its offset, so no walk leaves its tree.
-        sizes = np.array([tree.n_nodes for tree in self.trees])
-        offset = np.cumsum(sizes) - sizes
-        object.__setattr__(self, "_walk", (
-            offset,
-            np.concatenate([tree.feature for tree in self.trees]),
-            np.concatenate([tree.threshold for tree in self.trees]),
-            np.concatenate([tree.left + o for tree, o in zip(self.trees, offset)]),
-            np.concatenate([tree.right + o for tree, o in zip(self.trees, offset)]),
-        ))
+        ends = np.cumsum(self.sizes)
+        shapes = {a.shape for a in (self.feature, self.threshold, self.left, self.right)}
+        if self.sizes.min() < 1 or shapes != {(ends[-1],)}:
+            raise ValueError("trees need nodes and one entry per node in each array")
+        internal = self.feature >= 0
+        if self.counts.shape != (np.count_nonzero(~internal), n_classes):
+            raise ValueError("each counts row must hold one entry per class")
+        if np.any(self.feature >= self.n_features):
+            raise ValueError("split feature index exceeds feature dimension")
+        parents = np.tile(np.flatnonzero(internal), 2)
+        children = np.concatenate([self.left[internal], self.right[internal]])
+        tree_end = np.repeat(ends, self.sizes)[parents]
+        if np.any(children < 0) or np.any(children >= tree_end):
+            raise ValueError("internal node with missing child")
+        if np.any(children <= parents):
+            raise ValueError("child node index must exceed its parent's")
+        if np.any(np.bincount(children) > 1):
+            raise ValueError("node with more than one parent")
+        if not np.isfinite(self.threshold[internal]).all():
+            raise ValueError("internal node threshold must be finite")
+        totals = self.counts.sum(axis=1, keepdims=True, dtype=np.float64)
+        if np.any(self.counts < 0) or np.any(totals <= 0):
+            raise ValueError("leaf histograms must be non-negative with positive total")
+        # predict_many's walk data: each tree's root, each node's leaf row
+        # (-1 at internal nodes) and each leaf's class probabilities.
+        leaf_row = np.where(internal, -1, np.cumsum(~internal) - 1)
+        object.__setattr__(self, "_walk", (ends - self.sizes, leaf_row,
+                                           self.counts / totals))
+
+    @property
+    def trees(self) -> tuple[TreeView, ...]:
+        """One :class:`TreeView` per tree, read from the node table on access."""
+        roots, leaf_row, _ = self._walk
+        shift = np.repeat(roots, self.sizes)
+        counts = np.zeros((leaf_row.size, self.counts.shape[1]), self.counts.dtype)
+        counts[leaf_row >= 0] = self.counts
+        left, right = (np.where(a >= 0, a - shift, a) for a in (self.left, self.right))
+        arrays = (self.feature, self.threshold, left, right, counts)
+        return tuple(map(TreeView._make, zip(*(np.split(a, roots[1:]) for a in arrays))))
 
 
 def _subset_size(rule: str, n_features: int) -> int:
@@ -326,8 +328,8 @@ def _grow_forest(x: np.ndarray, y: np.ndarray, n_classes: int, config: ForestCon
                  rngs: list[np.random.Generator]):
     """Grow one tree per generator, all side by side (see the module docstring).
 
-    Returns the trees' node tables (see :func:`_forest_tables`) and each
-    tree's node count.
+    Returns each tree's node count and the trees' node tables (see
+    :func:`_forest_tables`).
     """
     n, d = x.shape
     n_trees = len(rngs)
@@ -403,7 +405,7 @@ def _grow_forest(x: np.ndarray, y: np.ndarray, n_classes: int, config: ForestCon
                             .astype(np.int32), threshold))
     nodes, threshold = (np.concatenate(r) for r in zip(*records))
     del records  # freed before the tables below are allocated: less peak memory
-    return _forest_tables(nodes, threshold, n_nodes, slots, y, n_classes), n_nodes
+    return (n_nodes, *_forest_tables(nodes, threshold, n_nodes, slots, y, n_classes))
 
 
 def _forest_tables(nodes, threshold, n_nodes, slots, y, n_classes):
@@ -411,31 +413,25 @@ def _forest_tables(nodes, threshold, n_nodes, slots, y, n_classes):
 
     A row of ``nodes`` is (tree, node id, parent if a right child else -1,
     size, feature) and ``threshold`` holds the matching split thresholds.
-    Each tree's nodes come out as one contiguous pre-order block.
+    Each tree's nodes come out as one contiguous pre-order block, child
+    links index the whole table, and ``counts`` has one row per leaf.
     """
     tree, node, right_of, size, feature = nodes.T
     offset = np.cumsum(n_nodes) - n_nodes
     at = offset[tree] + node
-    total = at.size
-    tree_feature = np.empty(total, dtype=np.intp)
-    tree_feature[at] = feature
-    tree_threshold = np.empty(total)
-    tree_threshold[at] = threshold
-    node_size = np.empty(total, dtype=np.intp)
-    node_size[at] = size
-    internal = feature >= 0
-    left = np.full(total, -1, dtype=np.intp)
-    left[at[internal]] = node[internal] + 1
-    right = np.full(total, -1, dtype=np.intp)
+    order = np.argsort(at)  # the records in table order
+    feature = feature[order].astype(np.intp)
+    leaf = feature < 0
+    left = np.where(leaf, -1, np.arange(at.size) + 1)
+    right = np.full(at.size, -1, dtype=np.intp)
     is_right = right_of >= 0
-    right[offset[tree[is_right]] + right_of[is_right]] = node[is_right]
+    right[offset[tree[is_right]] + right_of[is_right]] = at[is_right]
     # In pre-order a tree's leaves run left to right, so they tile its slots
     # in order: each slot's sample counts in the leaf whose range holds it.
-    leaf = np.flatnonzero(tree_feature < 0)
-    counts = np.zeros((total, n_classes))
-    slot_count = np.repeat(leaf, node_size[leaf]) * n_classes + y[slots]
-    np.add.at(counts.reshape(-1), slot_count, 1.0)
-    return tree_feature, tree_threshold, left, right, counts
+    leaf_size = size[order][leaf]
+    slot_count = np.repeat(np.arange(leaf_size.size), leaf_size) * n_classes + y[slots]
+    counts = np.bincount(slot_count, minlength=leaf_size.size * n_classes)
+    return feature, threshold[order], left, right, counts.reshape(-1, n_classes)
 
 
 def _dataset_to_arrays(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -463,49 +459,45 @@ def train_forest(train: Dataset, config: ForestConfig) -> ForestModel:
     x, y = _dataset_to_arrays(train)
     n_classes = len(train.class_names)
     streams = np.random.SeedSequence(config.seed).spawn(config.n_estimators)
-    tables, n_nodes = _grow_forest(x, y, n_classes, config,
-                                   [np.random.default_rng(s) for s in streams])
-    bounds = np.cumsum(n_nodes)[:-1]
-    trees = tuple(_Tree(*arrays)
-                  for arrays in zip(*(np.split(table, bounds) for table in tables)))
-    return ForestModel(trees=trees, class_names=train.class_names,
-                       n_features=x.shape[1], config=config)
+    return ForestModel(*_grow_forest(x, y, n_classes, config,
+                                     [np.random.default_rng(s) for s in streams]),
+                       train.class_names, x.shape[1], config)
 
 
 def predict_many(model: ForestModel, x) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized prediction: (class codes, probability matrix) for rows of x.
 
-    Every (row, tree) pair walks down at once, one level per step, through
-    the model's walk table; rows go in blocks of about ``_BATCH_ELEMENTS``
-    pairs. Each row's probabilities are the sum of its leaf histograms in
-    tree order, divided by the tree count.
+    Every (row, tree) pair walks down the model's node table at once, one
+    level per step; rows go in blocks of about ``_BATCH_ELEMENTS`` pairs.
+    Each row's probabilities are the sum of its normalized leaf histograms
+    in tree order, divided by the tree count.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != model.n_features:
         raise ValueError(
             f"feature dimension {x.shape[1]} != model dimension {model.n_features}"
         )
-    offset, feature, threshold, left, right = model._walk
+    roots, leaf_row, leaf_probs = model._walk
     n = x.shape[0]
-    n_trees = len(model.trees)
+    n_trees = roots.size
     probs = np.zeros((n, len(model.class_names)))
     block = max(1, _BATCH_ELEMENTS // n_trees)
     for a in range(0, n, block):
         rows = x[a:a + block]
         # Pair p is (row p // n_trees, tree p % n_trees), so the nodes
         # reshape to one row of tree nodes per input row.
-        node = np.tile(offset, rows.shape[0])
-        live = np.flatnonzero(feature[node] >= 0)  # pairs at internal nodes
+        node = np.tile(roots, rows.shape[0])
+        live = np.flatnonzero(model.feature[node] >= 0)  # pairs at internal nodes
         while live.size:
             cur = node[live]
-            go_left = rows[live // n_trees, feature[cur]] <= threshold[cur]
-            cur = np.where(go_left, left[cur], right[cur])
+            go_left = rows[live // n_trees, model.feature[cur]] <= model.threshold[cur]
+            cur = np.where(go_left, model.left[cur], model.right[cur])
             node[live] = cur
-            live = live[feature[cur] >= 0]
-        node = node.reshape(-1, n_trees) - offset
+            live = live[model.feature[cur] >= 0]
+        leaf = leaf_row[node].reshape(-1, n_trees)
         out = probs[a:a + block]
-        for t, tree in enumerate(model.trees):
-            out += tree.leaf_probs[node[:, t]]
+        for t in range(n_trees):
+            out += leaf_probs[leaf[:, t]]
     probs /= n_trees
     return np.argmax(probs, axis=1), probs
 
@@ -639,15 +631,15 @@ _MODEL_FORMAT = "magspy-forest"
 def save_model(model: ForestModel, path) -> None:
     trees = []
     for tree in model.trees:
-        leaf = tree.feature < 0
+        leaf = (tree.feature < 0).tolist()
         trees.append({
             "feature": tree.feature.tolist(),
-            "threshold": [None if leaf[i] else float(tree.threshold[i])
-                          for i in range(tree.n_nodes)],
+            "threshold": [None if is_leaf else v
+                          for is_leaf, v in zip(leaf, tree.threshold.tolist())],
             "left": tree.left.tolist(),
             "right": tree.right.tolist(),
-            "counts": [[int(c) for c in tree.counts[i]] if leaf[i] else None
-                       for i in range(tree.n_nodes)],
+            "counts": [row if is_leaf else None
+                       for is_leaf, row in zip(leaf, tree.counts.tolist())],
         })
     obj = {
         "format": _MODEL_FORMAT,
@@ -660,18 +652,56 @@ def save_model(model: ForestModel, path) -> None:
                           encoding="utf-8")
 
 
+def _integers(name: str, values: list) -> np.ndarray:
+    """JSON integers, not bools or fractions, as an int64 array."""
+    if not set(map(type, values)) <= {int}:
+        raise ValueError(f"{name} entries must be integers")
+    return np.array(values, dtype=np.int64)
+
+
 def load_model(path) -> ForestModel:
+    """Read a :func:`save_model` document, checking the type of every entry.
+
+    Counts rows of internal nodes are not read.
+    """
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    if obj.get("format") != _MODEL_FORMAT:
+    if type(obj) is not dict or obj.get("format") != _MODEL_FORMAT:
         raise ValueError(f"not a {_MODEL_FORMAT} document")
-    config = ForestConfig.from_dict(obj["config"])
-    class_names = tuple(obj["class_names"])
-    n_classes = len(class_names)
-    trees = []
-    for t in obj["trees"]:
-        counts = [row if row is not None else [0.0] * n_classes for row in t["counts"]]
-        threshold = [math.nan if v is None else v for v in t["threshold"]]
-        trees.append(_Tree(t["feature"], threshold, t["left"], t["right"], counts))
-    _check_count("n_features", obj["n_features"], 1)
-    return ForestModel(trees=tuple(trees), class_names=class_names,
-                       n_features=obj["n_features"], config=config)
+    config = ForestConfig.from_dict(obj.get("config"))
+    class_names = obj.get("class_names")
+    if type(class_names) is not list or not set(map(type, class_names)) <= {str}:
+        raise ValueError("class_names must be a list of strings")
+    _check_count("n_features", obj.get("n_features"), 1)
+    keys = TreeView._fields
+    trees = obj.get("trees")
+    if type(trees) is not list or not all(
+            type(tree) is dict and all(type(tree.get(key)) is list for key in keys)
+            for tree in trees):
+        raise ValueError("trees must be a list of objects holding list node arrays")
+    sizes = np.array([len(tree["feature"]) for tree in trees], dtype=np.intp)
+    if not all(n and all(len(tree[key]) == n for key in keys)
+               for tree, n in zip(trees, sizes)):
+        raise ValueError("trees need nodes and one entry per node in each array")
+    feature, threshold, left, right, counts = (
+        list(itertools.chain.from_iterable(tree[key] for tree in trees)) for key in keys)
+    if not set(map(type, threshold)) <= {int, float, type(None)}:
+        raise ValueError("threshold entries must be numbers or null")
+    try:
+        feature, left, right = (_integers(name, values) for name, values in
+                                (("feature", feature), ("left", left), ("right", right)))
+        threshold = np.array(threshold, dtype=np.float64)  # null reads as NaN
+        rows = list(itertools.compress(counts, (feature < 0).tolist()))
+        if set(map(type, rows)) - {list} or set(map(len, rows)) - {len(class_names)}:
+            raise ValueError("each counts row must hold one entry per class")
+        counts = _integers("counts", list(itertools.chain.from_iterable(rows)))
+    except OverflowError as exc:
+        raise ValueError(f"model entry out of range: {exc}") from exc
+    if np.any(counts > 2**53):
+        raise ValueError("leaf counts must be at most 2^53")
+    # Only non-negative links shift from tree-local to table indices, so a
+    # bad link stays bad instead of landing in the neighbouring tree.
+    shift = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    left, right = (np.where(a >= 0, a + shift, a) for a in (left, right))
+    return ForestModel(sizes, feature, threshold, left, right,
+                       counts.reshape(len(rows), len(class_names)), tuple(class_names),
+                       obj["n_features"], config)

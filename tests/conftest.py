@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from magspy.forest import (ForestConfig, ForestModel, _dataset_to_arrays,
-                           _subset_size, _Tree)
+                           _subset_size)
 
 
 def brute_force_best_split(x, y, n_classes):
@@ -69,6 +69,41 @@ def reference_best_split(x, y, hist, candidates):
             threshold = (xs[cuts[i]] + xs[cuts[i] + 1]) / 2.0
             best = (int(f), float(threshold), float(decrease[i]))
     return best
+
+
+class _Tree:
+    """Flat array representation of one decision tree, as models once held it.
+
+    ``feature[i] == -1`` marks a leaf; internal nodes route samples with
+    value <= threshold to ``left``. ``counts`` holds per-node class-count
+    histograms (meaningful at leaves).
+    """
+
+    __slots__ = ("feature", "threshold", "left", "right", "counts", "leaf_probs")
+
+    def __init__(self, feature, threshold, left, right, counts):
+        self.feature = np.asarray(feature, dtype=np.intp)
+        self.threshold = np.asarray(threshold, dtype=np.float64)
+        self.left = np.asarray(left, dtype=np.intp)
+        self.right = np.asarray(right, dtype=np.intp)
+        self.counts = np.asarray(counts, dtype=np.float64)
+        totals = self.counts.sum(axis=-1, keepdims=True)  # 0 nodes too
+        safe = np.where(totals > 0, totals, 1.0)
+        self.leaf_probs = self.counts / safe
+
+
+def join_trees(trees, class_names, n_features, config):
+    """A ``ForestModel`` of per-tree tables: links shifted to table indices,
+    counts kept at leaves only."""
+    sizes = np.array([tree.feature.size for tree in trees])
+    shift = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    feature, threshold, left, right, counts = (
+        np.concatenate([getattr(tree, key) for tree in trees])
+        for key in ("feature", "threshold", "left", "right", "counts"))
+    return ForestModel(sizes, feature, threshold, np.where(left >= 0, left + shift, left),
+                       np.where(right >= 0, right + shift, right),
+                       counts[feature < 0].astype(np.int64), class_names=class_names,
+                       n_features=n_features, config=config)
 
 
 # Reference grower: one tree at a time, one node at a time, each node's
@@ -192,23 +227,23 @@ def reference_train_forest(train, config):
     x, y = _dataset_to_arrays(train)
     n_classes = len(train.class_names)
     streams = np.random.SeedSequence(config.seed).spawn(config.n_estimators)
-    trees = tuple(_grow_tree(x, y, n_classes, config, np.random.default_rng(s))
-                  for s in streams)
-    return ForestModel(trees=trees, class_names=train.class_names,
-                       n_features=x.shape[1], config=config)
+    trees = [_grow_tree(x, y, n_classes, config, np.random.default_rng(s))
+             for s in streams]
+    return join_trees(trees, train.class_names, x.shape[1], config)
 
 
 def reference_predict_many(model, x):
     """``forest.predict_many`` as it was: one walk per tree, tree after tree.
 
-    Test oracle for the forest-wide walk: each tree steps all rows down a
-    level at a time, and the leaf histograms are summed in tree order.
+    Test oracle for the forest-wide walk: each tree of ``model.trees`` steps
+    all rows down a level at a time, and the leaf histograms, normalized per
+    node as ``_Tree`` does, are summed in tree order.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n = x.shape[0]
     probs = np.zeros((n, len(model.class_names)))
     row_ids = np.arange(n)
-    for tree in model.trees:
+    for tree in (_Tree(*view) for view in model.trees):
         node = np.zeros(n, dtype=np.intp)
         while True:
             feat = tree.feature[node]

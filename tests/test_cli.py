@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import MALFORMED_TREES, tree_doc, write_model_doc
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from magspy.cli import main
 from magspy.detect import save_pattern, ActivityPattern
@@ -151,6 +153,40 @@ class TestSimulateTrainClassify:
         assert "magspy: error:" in err and field in err
         assert not (tmp_path / "pred" / "predictions.jsonl").exists()
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["trees"][0]["left"].__setitem__(0, 1.9),
+        lambda doc: doc["trees"][0]["feature"].__setitem__(0, True),
+        lambda doc: doc["trees"][0]["right"].__setitem__(0, 2.0),
+        lambda doc: doc["trees"][0]["threshold"].__setitem__(0, True),
+        lambda doc: doc["trees"][0]["counts"].__setitem__(1, [0.5, 1]),
+        lambda doc: doc["trees"][0]["counts"].__setitem__(1, [1e308, 1e308]),
+        lambda doc: doc["trees"][0]["counts"].__setitem__(1, [True, 0]),
+        lambda doc: doc["trees"][0]["counts"].__setitem__(1, [-1, 2]),
+        lambda doc: doc["trees"][0]["counts"].__setitem__(1, [2**53 + 1, 0]),
+        lambda doc: doc["trees"][0]["counts"].__setitem__(1, [10**30, 0]),
+        lambda doc: doc.__setitem__("class_names", [0, 1]),
+        lambda doc: doc.__setitem__("trees", None),
+        lambda doc: doc.__setitem__("trees", [[0]]),
+        lambda doc: doc.__setitem__("config", 5),
+        lambda doc: [doc],
+    ], ids=["fractional-left", "bool-feature", "float-right", "bool-threshold",
+            "fractional-counts", "overflowing-counts", "bool-counts", "negative-counts",
+            "counts-above-2^53", "counts-above-int64", "integer-class-names",
+            "null-trees", "tree-not-an-object", "config-not-an-object",
+            "document-is-a-list"])
+    def test_classify_rejects_mistyped_model(self, tmp_path, capsys, edit):
+        tree = tree_doc([0, -1, -1], [0.5, None, None], [1, -1, -1], [2, -1, -1],
+                        [None, [1, 0], [0, 1]])
+        doc = json.loads(write_model_doc(tmp_path / "model.json", tree).read_text())
+        (tmp_path / "model.json").write_text(json.dumps(edit(doc) or doc))
+        data = tmp_path / "data.jsonl"
+        save_recordings([SensorRecording(
+            "d", 100.0, np.random.default_rng(0).normal(50, 1, (300, 3)))], data)
+        assert main(["classify", "--model", str(tmp_path / "model.json"), "--data",
+                     str(data), "--out", str(tmp_path / "pred")]) == 1
+        assert "magspy: error:" in capsys.readouterr().err
+        assert not (tmp_path / "pred" / "predictions.jsonl").exists()
+
     def test_classify_to_stdout(self, tmp_path, capsys):
         config = write_config(tmp_path)
         sim_dir = tmp_path / "sim"
@@ -254,6 +290,27 @@ class TestDetectCommand:
         rc, scores = self._score(tmp_path, data, ppath,
                                  [{"stream": 0, "time_s": 15.0}])
         assert (rc, scores) == (0, {"tp": 0, "fp": 2, "fn": 1})
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_detect_scores_do_not_depend_on_stream_order(self, tmp_path, capsys, data):
+        # Permute the recordings and the truth lines together, each line's
+        # stream index following its recording: the scores stay the same.
+        streams, ppath = self._event_streams(tmp_path, [1000, 1500, 700])
+        rows = data.draw(st.lists(st.fixed_dictionaries({
+            "stream": st.integers(0, 2),
+            "time_s": st.sampled_from([3.0, 7.0, 7.3, 10.0, 14.8, 15.0])}),
+            max_size=6, unique_by=lambda row: (row["stream"], row["time_s"])))
+        perm = data.draw(st.permutations(range(3)))
+        order = data.draw(st.permutations(range(len(rows))))
+        recordings = load_recordings(streams)
+        permuted = tmp_path / "permuted.jsonl"
+        save_recordings([recordings[i] for i in perm], permuted)
+        moved = [{**rows[i], "stream": perm.index(rows[i]["stream"])} for i in order]
+        want = self._score(tmp_path, streams, ppath, rows)
+        assert want[0] == 0
+        assert self._score(tmp_path, permuted, ppath, moved) == want
 
     @pytest.mark.parametrize("stream", ["1", 1.0, 2, -1, True])
     def test_detect_rejects_bad_truth_stream(self, tmp_path, capsys, stream):
@@ -412,7 +469,16 @@ class TestExitCodes:
             "nan-noise-std", "bool-gain", "nan-coupling-dir", "inf-baseline-field",
             "string-class-count"])
     def test_bad_outside_document_is_validation_error(self, tmp_path, capsys,
-                                                      kind, doc):
+                                                      monkeypatch, kind, doc):
+        # Every document is read and checked before the first recording.
+        renders = []
+
+        def render(*args, **kwargs):
+            renders.append(args)
+            raise AssertionError("rendered before the documents were checked")
+
+        monkeypatch.setattr("magspy.experiments.render_recording", render)
+        monkeypatch.setattr("magspy.cli.render_recording", render)
         path = tmp_path / f"{kind}.json"
         path.write_text(doc)
         config = (str(path) if kind == "config"
@@ -422,6 +488,7 @@ class TestExitCodes:
             argv += [f"--{kind}", str(path)]
         assert main(argv) == 1
         assert "magspy: error:" in capsys.readouterr().err
+        assert not renders
         assert not (tmp_path / "sim" / "recordings.jsonl").exists()
 
     @pytest.mark.parametrize("field, doc", [

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import math
 import signal
@@ -93,7 +94,7 @@ class TestTrainAndPredict:
                               min_impurity_decrease=0.0, bootstrap=False, seed=0)
         model = train_forest(data, config)
         tree = model.trees[0]
-        assert tree.n_nodes == 3
+        assert tree.feature.size == 3
         assert tree.threshold[0] == pytest.approx(0.5)
         assert predict(model, FeatureVector([0.9]))[0] == "B"
         assert predict(model, FeatureVector([0.1]))[0] == "A"
@@ -191,6 +192,36 @@ class TestTrainAndPredict:
                                    (FeatureVector([1.0, 2.0]), "A")], ("A",))
         with pytest.raises(ValueError, match="inconsistent"):
             train_forest(data, ForestConfig(n_estimators=1))
+
+    def test_model_is_one_node_table(self):
+        # No per-tree objects, no second copy of the node arrays, no per-node
+        # float table: counts and probabilities have one row per leaf.
+        rng = np.random.default_rng(5)
+        x = rng.normal(0, 1, (40, 4))
+        labels = ["A" if v[0] > 0 else ("B" if v[1] > 0 else "C") for v in x]
+        model = train_forest(feature_dataset(list(zip(x, labels)), ("A", "B", "C")),
+                             ForestConfig(n_estimators=6, seed=3))
+        n = model.feature.size
+        leaf = model.feature < 0
+        assert set(vars(model)) == {f.name for f in dataclasses.fields(model)} | {"_walk"}
+        assert model.sizes.sum() == n and len(model.trees) == 6
+        assert model.counts.shape == (np.count_nonzero(leaf), 3)
+        assert model.counts.dtype.kind == "i"
+        arrays = [*(getattr(model, name) for name in ("sizes", "feature", "threshold",
+                                                       "left", "right", "counts")),
+                  *model._walk]
+        assert all(isinstance(a, np.ndarray) for a in arrays)
+        per_node = [a for a in arrays if a.shape[0] == n]
+        assert len(per_node) == 5 and all(a.ndim == 1 for a in per_node)
+        floats = [a.shape for a in arrays if a.dtype.kind == "f"]
+        assert floats == [(n,), model.counts.shape]
+        # The per-tree views: tree-local links, a counts row per node.
+        counts = np.concatenate([tree.counts for tree in model.trees])
+        assert np.array_equal(counts[leaf], model.counts) and not counts[~leaf].any()
+        for tree in model.trees:
+            internal = tree.feature >= 0
+            assert np.array_equal(tree.left[internal], np.flatnonzero(internal) + 1)
+            assert tree.right[internal].max(initial=0) < tree.feature.size
 
     def test_dimension_mismatch_rejected(self):
         data = feature_dataset([([0.0, 1.0], "A"), ([1.0, 0.0], "B")])
@@ -509,7 +540,9 @@ def model_documents(draw):
     Then up to three random edits set a child link, feature, threshold or
     counts row of some node to any value: a link may point back, to itself,
     to a shared or missing node, a threshold may be missing or non-finite
-    and a counts row missing, negative or of the wrong width.
+    and a counts row missing, negative or of the wrong width. One kind of
+    edit in six puts a value of the wrong JSON type instead: a bool or a
+    float where an integer belongs, or a bool threshold.
     """
     n_classes = draw(st.integers(1, 3))
     n_features = draw(st.integers(1, 3))
@@ -536,11 +569,13 @@ def model_documents(draw):
                     links.reverse()  # the right child gets the next node
                 pending += [(node, link, depth + 1) for link in reversed(links)]
         trees.append(tree)
+    not_integer = st.one_of(st.booleans(), st.floats(-2.0, 4.0))
     for _ in range(draw(st.integers(0, 3))):
         tree = draw(st.sampled_from(trees))
         n = len(tree["feature"])
         node = draw(st.integers(0, n - 1))
         key, values = draw(st.sampled_from([
+            (None, None),
             ("left", st.integers(-1, n)),
             ("right", st.integers(-1, n)),
             ("feature", st.integers(-2, n_features)),
@@ -550,10 +585,35 @@ def model_documents(draw):
                                                      min_size=n_classes - 1,
                                                      max_size=n_classes + 1))),
         ]))
+        if key is None:
+            key, values = draw(st.sampled_from([
+                ("left", not_integer),
+                ("right", not_integer),
+                ("feature", not_integer),
+                ("threshold", st.booleans()),
+                ("counts", st.lists(st.one_of(st.integers(0, 3), not_integer),
+                                    min_size=n_classes, max_size=n_classes)),
+            ]))
         tree[key][node] = draw(values)
     return {"format": "magspy-forest", "config": {"n_estimators": len(trees)},
             "class_names": [f"c{i}" for i in range(n_classes)],
             "n_features": n_features, "trees": trees}
+
+
+def mistyped(doc):
+    """Whether an entry the loader reads has the wrong JSON type: an integer
+    array entry that is not an int, a bool threshold, or a leaf counts entry
+    that is not an int."""
+    for tree in doc["trees"]:
+        if any(type(v) is not int for key in ("feature", "left", "right")
+               for v in tree[key]):
+            return True
+        if any(type(v) is bool for v in tree["threshold"]):
+            return True
+        if any(f < 0 and type(row) is list and any(type(c) is not int for c in row)
+               for f, row in zip(tree["feature"], tree["counts"])):
+            return True
+    return False
 
 
 @contextlib.contextmanager
@@ -578,6 +638,30 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             load_model(path)
 
+    @pytest.mark.parametrize("link", [2, -1], ids=["into-next-tree", "negative"])
+    def test_link_outside_its_tree_rejected(self, tmp_path, link):
+        # Tree-local links become table indices on load; no link may leave
+        # its tree, whichever way it points.
+        # The stump's right link points past its end, at the next tree's
+        # root, or is -1 in the second tree, one node after the first.
+        stump = tree_doc([0, -1], [0.5, None], [1, -1], [link, -1], [None, [1, 0]])
+        leaf = tree_doc([-1], [None], [-1], [-1], [[0, 1]])
+        doc = json.loads(write_model_doc(tmp_path / "model.json", stump).read_text())
+        doc["trees"] = [stump, leaf] if link == 2 else [leaf, stump]
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="missing child"):
+            load_model(tmp_path / "model.json")
+
+    @pytest.mark.parametrize("field", ["config", "class_names", "n_features", "trees"])
+    def test_missing_field_rejected(self, tmp_path, field):
+        path = write_model_doc(tmp_path / "model.json",
+                               tree_doc([-1], [None], [-1], [-1], [[1, 0]]))
+        doc = json.loads(path.read_text())
+        del doc[field]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=field.replace("config", "forest config")):
+            load_model(path)
+
     def test_well_formed_document_loads(self, tmp_path):
         tree = tree_doc([0, -1, -1], [0.5, None, None], [1, -1, -1],
                          [2, -1, -1], [None, [1, 0], [0, 1]])
@@ -585,7 +669,7 @@ class TestModelValidation:
         codes, _ = predict_many(model, [[0.0], [1.0]])
         assert codes.tolist() == [0, 1]
 
-    @settings(max_examples=300, deadline=None,
+    @settings(max_examples=500, deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.function_scoped_fixture])
     @given(doc=model_documents(), data=st.data())
@@ -593,9 +677,14 @@ class TestModelValidation:
             self, tmp_path, doc, data):
         # The forest-wide walk ends only because load_model rejects every
         # node table that is not a forest: fuzz the loader with small random
-        # tables, links, thresholds and counts.
+        # tables, links, thresholds and counts. The reference walks the
+        # loaded arrays too, so a mistyped entry must be rejected outright.
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
+        if mistyped(doc):
+            with pytest.raises(ValueError):
+                load_model(path)
+            return
         try:
             model = load_model(path)
         except ValueError:

@@ -1,10 +1,11 @@
 """Byte-identity gate: pinned sha256 digests of small-scale outputs.
 
 Speed-ups to training, featurizing or detection must leave every output
-byte where it was. These digests pin three trained models, two
-``magspy eval`` reports, and the outputs of one ``simulate -> train ->
-classify -> detect`` run at small scale. A change that moves an output on
-purpose updates the digest here and says why in the same change.
+byte where it was. These digests pin three trained models, also after a
+load and a save, two ``magspy eval`` reports, and the outputs of one
+``simulate -> train -> classify -> detect`` run at small scale. A change
+that moves an output on purpose updates the digest here and says why in
+the same change.
 """
 
 import hashlib
@@ -15,7 +16,7 @@ import pytest
 from magspy.cli import main
 from magspy.experiments import (ExperimentConfig, _render_class_traces,
                                 _training_features)
-from magspy.forest import ForestConfig, save_model, train_forest
+from magspy.forest import ForestConfig, load_model, save_model, train_forest
 from magspy.traces import Dataset
 
 
@@ -34,7 +35,7 @@ def closed_world():
     return Dataset.from_pairs(_training_features(traces, labels, 50))
 
 
-@pytest.mark.parametrize("config, digest", [
+_MODELS = pytest.mark.parametrize("config, digest", [
     (ForestConfig(n_estimators=10, seed=1),
      "aeaf7f1f97803598c6ca22d2ab21a54d4a89b018bf9fe5f42e0abf295c949080"),
     (ForestConfig(n_estimators=10, max_features="sqrt", max_depth=10,
@@ -43,8 +44,20 @@ def closed_world():
     (ForestConfig(n_estimators=2, max_features="all", bootstrap=False, seed=3),
      "fce4d170bfee6374b2c07a1e0686bfff20f348a5eaf6eec7915e465c070232ce"),
 ], ids=["log2-bootstrap", "sqrt-depth10-no-min-decrease", "all-no-bootstrap"])
+
+
+@_MODELS
 def test_model_bytes(tmp_path, closed_world, config, digest):
     save_model(train_forest(closed_world, config), tmp_path / "model.json")
+    assert sha256(tmp_path / "model.json") == digest
+
+
+@_MODELS
+def test_model_round_trip_bytes(tmp_path, closed_world, config, digest):
+    # load_model joins the document's trees into one node table and
+    # save_model writes them back from the per-tree views.
+    save_model(train_forest(closed_world, config), tmp_path / "trained.json")
+    save_model(load_model(tmp_path / "trained.json"), tmp_path / "model.json")
     assert sha256(tmp_path / "model.json") == digest
 
 
