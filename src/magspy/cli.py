@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import detect as _detect
 from .experiments import (ExperimentConfig, _child_seed, _class_ids, _fit,
-                          _render_class_traces, run_scenario, write_report)
+                          _render_items, run_scenario, write_report)
 from .forest import _predict_labels, load_model, save_model
 from .metrics import evaluate, format_report_text
 from .preprocess import preprocess_recording
@@ -52,16 +52,14 @@ def _cmd_simulate(args) -> int:
     script = load_motion_script(args.motion_script) if args.motion_script else None
     profiles = cfg.resolved_profiles()
     class_ids = _class_ids("class", cfg.class_count)
-    recordings, _, patterns, labels, profile_ids = _render_class_traces(
-        cfg, class_ids, cfg.traces_per_class, profiles, "cw")
-    if script is not None:
-        recordings = [
-            render_recording(pattern, profiles[p_idx], motion=script,
-                             seed=_child_seed(cfg.seed, "motion-script", i),
-                             device_id=f"device-{p_idx}", label=label)
-            for i, (pattern, label, p_idx)
-            in enumerate(zip(patterns, labels, profile_ids))
-        ]
+    recordings = []
+    for i, (label, p_idx, pattern, rec) in enumerate(_render_items(
+            cfg, class_ids, cfg.traces_per_class, profiles, "cw")):
+        if script is not None:
+            rec = render_recording(pattern, profiles[p_idx], motion=script,
+                                   seed=_child_seed(cfg.seed, "motion-script", i),
+                                   device_id=f"device-{p_idx}", label=label)
+        recordings.append(rec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_recordings(recordings, out / "recordings.jsonl")
@@ -129,7 +127,9 @@ def _read_truth(path, rates) -> list[list[tuple[int, str]]]:
     ``stream``: the 0-based index of the recording in the data file (default 0).
     """
     truth = [[] for _ in rates]
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    # Split on "\n" only: a label may hold U+2028 or U+0085, which
+    # str.splitlines() would also break at.
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue

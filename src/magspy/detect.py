@@ -115,6 +115,9 @@ def _local_maxima(v: np.ndarray) -> list[int]:
 def _prominences(v: np.ndarray, peaks: list[int]) -> dict[int, float]:
     """Topographic prominence of each local maximum in ``peaks`` (ascending).
 
+    ``peaks`` may leave out lower local maxima as long as it keeps every one
+    at least as tall as its lowest member: the lower ones never outrank it.
+
     Peaks are ranked by descending height, ties by position: on its left a
     peak is outranked by a peak at least as tall, on its right only by a
     strictly taller one. One monotonic-stack pass finds the nearest
@@ -175,13 +178,14 @@ def find_peaks(series: CorrelationSeries, thresholds: PeakThresholds) -> list[in
     (height - prominence / 2). Indices are returned in ascending order.
     """
     v = series.values
-    peaks = _local_maxima(v)
-    prom = _prominences(v, peaks)
-    at = np.array(peaks, dtype=np.intp)
-    height_ok = v[at] >= thresholds.min_height
-    prom_ok = np.array([prom[p] for p in peaks]) >= thresholds.min_prominence
-    return [p for p in at[height_ok & prom_ok].tolist()
-            if _width_at_half_prominence(v, p, prom[p]) >= thresholds.min_width_samples]
+    at = np.array(_local_maxima(v), dtype=np.intp)
+    # Only the peaks that clear the height are ranked. That is exact: a peak
+    # that outranks a tall peak is at least as tall, and the saddles still
+    # come from the whole series.
+    tall = at[v[at] >= thresholds.min_height].tolist()
+    prom = _prominences(v, tall)
+    return [p for p in tall if prom[p] >= thresholds.min_prominence
+            and _width_at_half_prominence(v, p, prom[p]) >= thresholds.min_width_samples]
 
 
 def detect_and_classify(stream: Trace1D, series: CorrelationSeries,

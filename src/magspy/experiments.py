@@ -182,35 +182,56 @@ def _class_ids(prefix: str, count: int) -> list[str]:
     return [f"{prefix}-{i:03d}" for i in range(count)]
 
 
-def _render_class_traces(cfg: ExperimentConfig, class_ids, traces_per_class: int,
-                         profiles, salt: str):
-    """Render labeled recordings plus normalized traces and keep the CPU patterns."""
-    recordings: list[SensorRecording] = []
-    traces: list[Trace1D] = []
-    patterns = []
-    labels: list[str] = []
-    profile_ids: list[int] = []
+def _render_item(cfg: ExperimentConfig, salt: str, class_id: str, j: int, *,
+                 profiles, signature: CpuPattern) -> tuple[CpuPattern, SensorRecording]:
+    """Render trace ``j`` of ``class_id`` from its class signature: (pattern, recording).
+
+    The seeds depend only on ``(cfg.seed, salt, class_id, j)``, so an item
+    renders the same bytes however often, and in whatever order, it is
+    rendered.
+    """
+    pattern = perturb_pattern(
+        signature, _child_seed(cfg.seed, salt, "perturb", class_id, j),
+        start_jitter_s=cfg.start_jitter_s, time_warp=cfg.time_warp,
+        level_jitter=cfg.level_jitter, background_drift=cfg.background_drift)
+    p_idx = j % len(profiles)
+    return pattern, render_recording(
+        pattern, profiles[p_idx],
+        seed=_child_seed(cfg.seed, salt, "render", class_id, j),
+        device_id=f"device-{p_idx}", label=class_id, meta={"trace": str(j)})
+
+
+def _render_items(cfg: ExperimentConfig, class_ids, traces_per_class: int,
+                  profiles, salt: str):
+    """Yield ``(class_id, profile index, pattern, recording)`` class by class.
+
+    Items come one at a time so that callers can reduce each recording and
+    drop it before the next one is rendered.
+    """
     for class_id in class_ids:
         signature = make_class_signature(class_id, cfg.duration_s, cfg.rate_hz,
                                          cfg.seed)
         for j in range(traces_per_class):
-            pattern = perturb_pattern(
-                signature, _child_seed(cfg.seed, salt, "perturb", class_id, j),
-                start_jitter_s=cfg.start_jitter_s, time_warp=cfg.time_warp,
-                level_jitter=cfg.level_jitter,
-                background_drift=cfg.background_drift)
-            p_idx = j % len(profiles)
-            rec = render_recording(
-                pattern, profiles[p_idx],
-                seed=_child_seed(cfg.seed, salt, "render", class_id, j),
-                device_id=f"device-{p_idx}", label=class_id,
-                meta={"trace": str(j)})
-            recordings.append(rec)
-            traces.append(preprocess_recording(rec))
-            patterns.append(pattern)
-            labels.append(class_id)
-            profile_ids.append(p_idx)
-    return recordings, traces, patterns, labels, profile_ids
+            yield (class_id, j % len(profiles),
+                   *_render_item(cfg, salt, class_id, j, profiles=profiles,
+                                 signature=signature))
+
+
+def _render_class_traces(cfg: ExperimentConfig, class_ids, traces_per_class: int,
+                         profiles, salt: str):
+    """Normalized traces of labeled recordings: (traces, labels, profile ids).
+
+    Each recording is reduced as soon as it is rendered and then dropped.
+    """
+    traces: list[Trace1D] = []
+    labels: list[str] = []
+    profile_ids: list[int] = []
+    for class_id, p_idx, _, rec in _render_items(cfg, class_ids, traces_per_class,
+                                                 profiles, salt):
+        traces.append(preprocess_recording(rec))
+        labels.append(class_id)
+        profile_ids.append(p_idx)
+    return traces, labels, profile_ids
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +288,7 @@ def _fit(cfg: ExperimentConfig, traces, labels, class_names):
 class _ClosedWorldBundle:
     class_ids: list[str]
     profiles: tuple[DeviceProfile, ...]
-    recordings: list[SensorRecording]
     traces: list[Trace1D]
-    patterns: list
-    profile_ids: list[int]
     train_items: tuple
     test_items: tuple
     model: object
@@ -280,7 +298,7 @@ class _ClosedWorldBundle:
 def _closed_world_core(cfg: ExperimentConfig) -> _ClosedWorldBundle:
     profiles = cfg.resolved_profiles()
     class_ids = _class_ids("class", cfg.class_count)
-    recordings, traces, patterns, labels, profile_ids = _render_class_traces(
+    traces, labels, profile_ids = _render_class_traces(
         cfg, class_ids, cfg.traces_per_class, profiles, "cw")
     train_items, test_items = _split(cfg, labels, class_ids)
 
@@ -299,8 +317,8 @@ def _closed_world_core(cfg: ExperimentConfig) -> _ClosedWorldBundle:
                 float(np.mean([t == pred for t, pred in sub])) if sub else None)
         report.extras["per_device_accuracy"] = per_profile
     report.extras["forest_config"] = chosen.to_dict()
-    return _ClosedWorldBundle(class_ids, profiles, recordings, traces, patterns,
-                              profile_ids, train_items, test_items, model, report)
+    return _ClosedWorldBundle(class_ids, profiles, traces, train_items, test_items,
+                              model, report)
 
 
 def run_closed_world(cfg: ExperimentConfig) -> EvalReport:
@@ -322,7 +340,7 @@ def run_open_world(cfg: ExperimentConfig) -> EvalReport:
     unmonitored_train = _class_ids("uml", cfg.unmonitored_train_count)
     background = _class_ids("bg", cfg.background_count)
 
-    _, traces, _, labels, _ = _render_class_traces(
+    traces, labels, _ = _render_class_traces(
         cfg, monitored, cfg.traces_per_class, profiles, "cw")
     train_items, test_items = _split(cfg, labels, monitored)
 
@@ -331,7 +349,7 @@ def run_open_world(cfg: ExperimentConfig) -> EvalReport:
 
     fit_traces, fit_labels = _take(traces, train_items)
     if unmonitored_train:
-        _, pool, _, _, _ = _render_class_traces(
+        pool, _, _ = _render_class_traces(
             cfg, unmonitored_train, cfg.traces_per_class, profiles, "ow-pool")
         fit_traces += pool
         fit_labels += [UNMONITORED_LABEL] * len(pool)
@@ -339,7 +357,7 @@ def run_open_world(cfg: ExperimentConfig) -> EvalReport:
 
     test_traces, test_labels = _take(traces, test_items)
     if background:
-        _, bg_traces, _, _, _ = _render_class_traces(
+        bg_traces, _, _ = _render_class_traces(
             cfg, background, cfg.background_traces_each, profiles, "ow-bg")
         test_traces += bg_traces
         test_labels += [UNMONITORED_LABEL] * len(bg_traces)
@@ -354,26 +372,31 @@ def run_open_world(cfg: ExperimentConfig) -> EvalReport:
 
 
 def run_sampling_sweep(cfg: ExperimentConfig) -> list[tuple[float, float]]:
-    """Closed-world accuracy at each ``cfg.rates`` entry, sharing traces and split.
+    """Closed-world accuracy at each ``cfg.rates`` entry, sharing recordings and split.
 
     Traces are decimated before feature extraction; the feature count is
     clamped to the decimated trace length when it falls below ``bin_count``.
-    At the device rate the traces made while rendering are reused instead
-    of preprocessing every recording again.
+    Each recording is reduced at every rate as soon as it is rendered; at
+    the device rate it is not resampled.
     """
     for rate in cfg.rates:
         if rate > cfg.rate_hz:
             raise ValueError("sweep rates cannot exceed the device rate")
     profiles = cfg.resolved_profiles()
     class_ids = _class_ids("class", cfg.class_count)
-    recordings, native, _, labels, _ = _render_class_traces(
-        cfg, class_ids, cfg.traces_per_class, profiles, "cw")
+    by_rate: dict[float, list[Trace1D]] = {rate: [] for rate in cfg.rates}
+    labels: list[str] = []
+    for class_id, _, _, rec in _render_items(cfg, class_ids, cfg.traces_per_class,
+                                             profiles, "cw"):
+        for rate, traces in by_rate.items():
+            traces.append(preprocess_recording(
+                rec, None if rate == cfg.rate_hz else rate))
+        labels.append(class_id)
     train_items, test_items = _split(cfg, labels, class_ids)
 
     results: list[tuple[float, float]] = []
     for rate in cfg.rates:
-        traces = (native if rate == cfg.rate_hz
-                  else [preprocess_recording(rec, rate) for rec in recordings])
+        traces = by_rate[rate]
         fit_traces, fit_labels = _take(traces, train_items)
         model, _ = _fit(cfg, fit_traces, fit_labels, class_ids)
         test_traces, test_labels = _take(traces, test_items)
@@ -530,18 +553,24 @@ def run_movement(cfg: ExperimentConfig) -> MovementResult:
     motion_slots = set(int(i) for i in
                        rng.choice(n_test, size=n_motion, replace=False))
 
-    # Start from the stationary test set; re-render the motion slots.
-    test_recs, test_labels = _take(core.recordings, core.test_items)
-    test_traces, _ = _take(core.traces, core.test_items)
-    for slot in sorted(motion_slots):
-        idx, label = core.test_items[slot]
-        script = random_motion_script(
-            len(core.recordings[idx]), rate, _child_seed(cfg.seed, "motion", slot),
-            peak_rate_rad_s=(cfg.motion_peak_rate, cfg.motion_peak_rate * 1.5))
-        test_recs[slot] = render_recording(
-            core.patterns[idx], core.profiles[core.profile_ids[idx]], motion=script,
-            seed=_child_seed(cfg.seed, "motion-render", slot), label=label)
-        test_traces[slot] = preprocess_recording(test_recs[slot])
+    # Re-render the stationary test recordings; the motion slots get
+    # rotation pulses on the same CPU pattern.
+    test_recs: list[SensorRecording] = []
+    test_traces, test_labels = _take(core.traces, core.test_items)
+    for slot, (idx, label) in enumerate(core.test_items):
+        j = idx % cfg.traces_per_class  # items are rendered class by class
+        pattern, rec = _render_item(
+            cfg, "cw", label, j, profiles=core.profiles,
+            signature=make_class_signature(label, cfg.duration_s, rate, cfg.seed))
+        if slot in motion_slots:
+            script = random_motion_script(
+                len(rec), rate, _child_seed(cfg.seed, "motion", slot),
+                peak_rate_rad_s=(cfg.motion_peak_rate, cfg.motion_peak_rate * 1.5))
+            rec = render_recording(
+                pattern, core.profiles[j % len(core.profiles)], motion=script,
+                seed=_child_seed(cfg.seed, "motion-render", slot), label=label)
+            test_traces[slot] = preprocess_recording(rec)
+        test_recs.append(rec)
 
     predicted, _ = _predict_labels(core.model, test_traces)
     correct = np.asarray([p == label for p, label in zip(predicted, test_labels)])

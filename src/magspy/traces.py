@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -102,6 +103,8 @@ class SensorRecording:
 
         object.__setattr__(self, "rate_hz", _positive_rate(self.rate_hz))
 
+        if not isinstance(self.device_id, str):
+            raise ValueError("device_id must be a string")
         if self.label is not None and not isinstance(self.label, str):
             raise ValueError("label must be a string when present")
         meta = dict(self.meta)
@@ -240,6 +243,22 @@ def _recording_to_obj(rec: SensorRecording) -> dict:
     return obj
 
 
+def _sample_array(values, name: str) -> np.ndarray:
+    """JSON samples as an (n, 3) float64 array, if every entry is a number.
+
+    NumPy would read ``true`` as 1.0 and ``"1.5"`` as 1.5, so the entry types
+    are checked first. Every pass over the samples runs in C: ``map`` builds
+    the sets of row types, lengths and entry types, and ``np.fromiter``
+    converts the checked entries.
+    """
+    if (type(values) is not list or not set(map(type, values)) <= {list}
+            or not set(map(len, values)) <= {3}
+            or not set(map(type, chain.from_iterable(values))) <= {float, int}):
+        raise ValueError(f"{name} must be an array of [x, y, z] number triples")
+    flat = np.fromiter(chain.from_iterable(values), np.float64, 3 * len(values))
+    return flat.reshape(-1, 3)
+
+
 def _recording_from_obj(obj: dict) -> SensorRecording:
     if not isinstance(obj, dict):
         raise ValueError("record is not a JSON object")
@@ -249,11 +268,12 @@ def _recording_from_obj(obj: dict) -> SensorRecording:
     for req in ("device_id", "rate_hz", "mag"):
         if req not in obj:
             raise ValueError(f"missing required field {req!r}")
+    gyro = obj.get("gyro")
     return SensorRecording(
         device_id=obj["device_id"],
         rate_hz=obj["rate_hz"],
-        mag=obj["mag"],
-        gyro=obj.get("gyro"),
+        mag=_sample_array(obj["mag"], "mag"),
+        gyro=None if gyro is None else _sample_array(gyro, "gyro"),
         label=obj.get("label"),
         meta=obj.get("meta") or {},
     )
@@ -270,19 +290,23 @@ def save_recordings(recordings: Sequence[SensorRecording], path) -> None:
 
 
 def load_recordings(path) -> list[SensorRecording]:
-    """Read a JSON Lines recording file, rejecting the whole file on any bad line."""
+    """Read a JSON Lines recording file, rejecting the whole file on any bad line.
+
+    The file is read one line at a time, and lines end at ``\\n`` only:
+    strings may hold any other line separator, such as U+2028.
+    """
     p = Path(path)
-    text = p.read_text(encoding="utf-8")
     out: list[SensorRecording] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{p}: line {lineno}: invalid JSON ({exc.msg})") from exc
-        try:
-            out.append(_recording_from_obj(obj))
-        except (ValueError, TypeError) as exc:
-            raise ValueError(f"{p}: line {lineno}: {exc}") from exc
+    with p.open(encoding="utf-8", newline="\n") as lines:
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{p}: line {lineno}: invalid JSON ({exc.msg})") from exc
+            try:
+                out.append(_recording_from_obj(obj))
+            except (ValueError, TypeError, OverflowError) as exc:
+                raise ValueError(f"{p}: line {lineno}: {exc}") from exc
     return out

@@ -187,6 +187,28 @@ class TestSimulateTrainClassify:
         assert "magspy: error:" in capsys.readouterr().err
         assert not (tmp_path / "pred" / "predictions.jsonl").exists()
 
+    @pytest.mark.parametrize("field, sample", [
+        ("mag", True), ("mag", "1.5"), ("mag", None), ("gyro", False),
+    ], ids=["true", "numeric-string", "null", "false-gyro"])
+    def test_classify_rejects_mistyped_recording(self, tmp_path, capsys, field,
+                                                 sample):
+        tree = tree_doc([0, -1, -1], [0.5, None, None], [1, -1, -1], [2, -1, -1],
+                        [None, [1, 0], [0, 1]])
+        write_model_doc(tmp_path / "model.json", tree)
+        rng = np.random.default_rng(0)
+        data = tmp_path / "data.jsonl"
+        save_recordings([SensorRecording("d", 100.0, rng.normal(50, 1, (300, 3)),
+                                         np.zeros((300, 3)))
+                         for _ in range(2)], data)
+        first, second = data.read_text().splitlines()
+        doc = json.loads(second)
+        doc[field][0][0] = sample
+        data.write_text(first + "\n" + json.dumps(doc) + "\n")
+        assert main(["classify", "--model", str(tmp_path / "model.json"), "--data",
+                     str(data), "--out", str(tmp_path / "pred")]) == 1
+        assert "line 2" in capsys.readouterr().err
+        assert not (tmp_path / "pred").exists()
+
     def test_classify_to_stdout(self, tmp_path, capsys):
         config = write_config(tmp_path)
         sim_dir = tmp_path / "sim"
@@ -268,7 +290,8 @@ class TestDetectCommand:
 
     def _score(self, tmp_path, data, ppath, truth_rows):
         truth = tmp_path / "truth.jsonl"
-        truth.write_text("".join(json.dumps(row) + "\n" for row in truth_rows))
+        truth.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n"
+                                 for row in truth_rows), encoding="utf-8")
         out_dir = tmp_path / "det"
         rc = main(["detect", "--pattern", str(ppath), "--data", str(data),
                    "--min-height", "8", "--min-prominence", "4",
@@ -311,6 +334,16 @@ class TestDetectCommand:
         want = self._score(tmp_path, streams, ppath, rows)
         assert want[0] == 0
         assert self._score(tmp_path, permuted, ppath, moved) == want
+
+    @pytest.mark.parametrize("label", ["x\u2028y", "x\x85y"], ids=["U+2028", "U+0085"])
+    def test_truth_label_may_hold_line_separators(self, tmp_path, capsys, label):
+        from magspy.cli import _read_truth
+        data, ppath = self._event_streams(tmp_path, [1000, 1000])
+        rows = [{"stream": s, "time_s": 10.0, "label": label} for s in (0, 1)]
+        rc, scores = self._score(tmp_path, data, ppath, rows)
+        assert (rc, scores) == (0, {"tp": 2, "fp": 0, "fn": 0})
+        assert _read_truth(tmp_path / "truth.jsonl", [100.0, 100.0]) == \
+            [[(1000, label)], [(1000, label)]]
 
     @pytest.mark.parametrize("stream", ["1", 1.0, 2, -1, True])
     def test_detect_rejects_bad_truth_stream(self, tmp_path, capsys, stream):

@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from magspy.detect import (ActivityPattern, CorrelationSeries, Detection,
                            PeakThresholds, _local_maxima, _prominences,
+                           _width_at_half_prominence,
                            average_pattern, cross_correlate,
                            detect_and_classify, find_peaks, load_pattern,
                            match_detections, save_pattern, score_detections)
@@ -179,6 +180,20 @@ class TestPeakOracles:
     def test_prominences_match_reference(self, v):
         peaks = reference_local_maxima(v)
         assert _prominences(v, peaks) == reference_prominences(v, peaks)
+
+    @settings(max_examples=500, deadline=None)
+    @given(v=plateau_series, height=st.floats(-2.2, 2.2).map(lambda x: round(x, 1)),
+           prominence=st.sampled_from([0.0, 0.1, 0.5, 1.0]), width=st.integers(1, 4))
+    def test_find_peaks_ranks_only_tall_peaks(self, v, height, prominence, width):
+        # Ranked among the tall peaks alone, each tall peak keeps the
+        # prominence it has among all local maxima.
+        peaks = reference_local_maxima(v)
+        prom = reference_prominences(v, peaks)
+        tall = [p for p in peaks if v[p] >= height]
+        assert _prominences(v, tall) == {p: prom[p] for p in tall}
+        want = [p for p in tall if prom[p] >= prominence
+                and _width_at_half_prominence(v, p, prom[p]) >= width]
+        assert find_peaks(series(v), PeakThresholds(height, prominence, width)) == want
 
     @settings(max_examples=200, deadline=None)
     @given(v=hnp.arrays(float, st.integers(1, 80), unique=True,

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,14 +162,29 @@ class TestClosedWorld:
             run_closed_world(cfg)
 
     def test_different_seed_changes_data(self):
-        from magspy.experiments import _class_ids, _render_class_traces
+        from magspy.experiments import _class_ids, _render_items
         recs = []
         for seed in (0, 99):
             cfg = small_config(seed=seed)
-            out = _render_class_traces(cfg, _class_ids("class", 2), 1,
-                                       cfg.resolved_profiles(), "cw")
-            recs.append(out[0][0])
+            _, _, _, rec = next(_render_items(cfg, _class_ids("class", 2), 1,
+                                              cfg.resolved_profiles(), "cw"))
+            recs.append(rec)
         assert not np.array_equal(recs[0].mag, recs[1].mag)
+
+    def test_peak_memory_stays_below_the_recordings(self):
+        # Each recording is reduced to its trace as soon as it is rendered,
+        # so the run never holds the raw samples (mag and gyro, 6 float64
+        # channels) of all 200 recordings, 11.5 MB; the traces take 1.9 MB.
+        cfg = small_config(class_count=10, traces_per_class=20, duration_s=12.0,
+                           forest=ForestConfig(n_estimators=5, seed=0))
+        n = int(round(cfg.duration_s * cfg.rate_hz))
+        tracemalloc.start()
+        try:
+            run_closed_world(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.class_count * cfg.traces_per_class * n * 6 * 8
 
     def test_multi_profile_reports_per_device(self):
         from magspy.simulate import profile_for_snr
@@ -299,6 +315,29 @@ class TestMovement:
         assert result.stationary_flagged_fraction == 0.0
         assert result.rejected_fraction == pytest.approx(0.25, abs=0.05)
         assert result.accuracy_filtered >= result.accuracy_unfiltered
+
+    def test_test_recordings_are_the_ones_the_closed_world_reduced(self,
+                                                                   monkeypatch):
+        # run_movement re-renders its stationary test recordings from their
+        # seeds; each must reduce to the trace the closed world classified.
+        import magspy.experiments as experiments
+        from magspy.experiments import _closed_world_core
+        from magspy.preprocess import preprocess_recording
+        cfg = small_config(scenario="movement", motion_fraction=0.0,
+                           traces_per_class=10,
+                           device_profiles=(profile_for_snr(12.0),
+                                            profile_for_snr(15.0)))
+        seen = []
+        original = experiments.filter_dataset
+        monkeypatch.setattr(experiments, "filter_dataset",
+                            lambda recs, th: seen.extend(recs) or original(recs, th))
+        run_movement(cfg)
+        core = _closed_world_core(cfg)
+        assert len(seen) == len(core.test_items)
+        for rec, (idx, label) in zip(seen, core.test_items):
+            assert (rec.label, rec.device_id) == (label, f"device-{idx % 10 % 2}")
+            assert np.array_equal(preprocess_recording(rec).values,
+                                  core.traces[idx].values)
 
     def test_saturated_fraction(self):
         cfg = small_config(scenario="movement", motion_fraction=1.0)

@@ -259,7 +259,7 @@ def rendered_world(class_count, traces_per_class, seed):
     cfg = ExperimentConfig(class_count=class_count, traces_per_class=traces_per_class,
                            duration_s=6.0, seed=seed)
     class_ids = [f"class-{i:03d}" for i in range(cfg.class_count)]
-    _, traces, _, labels, _ = _render_class_traces(
+    traces, labels, _ = _render_class_traces(
         cfg, class_ids, cfg.traces_per_class, cfg.resolved_profiles(), "cw")
     return Dataset.from_pairs(_training_features(traces, labels, 50))
 

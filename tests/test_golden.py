@@ -30,7 +30,7 @@ def closed_world():
     cfg = ExperimentConfig(class_count=5, traces_per_class=8, duration_s=6.0,
                            seed=3)
     class_ids = [f"class-{i:03d}" for i in range(cfg.class_count)]
-    _, traces, _, labels, _ = _render_class_traces(
+    traces, labels, _ = _render_class_traces(
         cfg, class_ids, cfg.traces_per_class, cfg.resolved_profiles(), "cw")
     return Dataset.from_pairs(_training_features(traces, labels, 50))
 
@@ -71,7 +71,18 @@ _SMALL_WORLD = {"class_count": 5, "traces_per_class": 12, "duration_s": 6.0,
     ({**_SMALL_WORLD, "scenario": "continuous", "stream_count": 6,
       "stream_s": 30.0, "window_s": 6.0},
      "553e30edb619aebaa3dc0833b47548478c6facf2675a56c96cd771c460ea8305"),
-], ids=["closed-world", "continuous"])
+    ({**_SMALL_WORLD, "scenario": "movement"},
+     "86bf27acbd1cf7611d1b903f5a5ca4812bb1b738adc30afcdebe9a7d0d4d4d24"),
+    ({**_SMALL_WORLD, "scenario": "movement",
+      "device_profiles": [{"snr_db": 12.0}, {"snr_db": 15.0}]},
+     "8ea29dff13209ab686abfeda040869f7f94a8c3b45427ce42fe8c46d65066cf4"),
+    ({**_SMALL_WORLD, "scenario": "sweep"},
+     "f2daf4ea029860970e189c9aab246406bedfac89a9a1533a0c1b990c656ef2e0"),
+    ({**_SMALL_WORLD, "scenario": "open-world", "monitored_count": 3,
+      "unmonitored_train_count": 4, "background_count": 10},
+     "72c426e832fdacaf916cd90133879b72597d6d4de0f3c8436f227c45990c1097"),
+], ids=["closed-world", "continuous", "movement", "movement-two-devices", "sweep",
+        "open-world"])
 def test_eval_report_bytes(tmp_path, capsys, doc, digest):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
@@ -85,6 +96,23 @@ def _cli_config(tmp_path, name, **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+@pytest.mark.parametrize("script, digest", [
+    (None,
+     "dbc90dbf25fff49fc08c65b7f0571cd45aec16c9be0dd99a33c820795bbda9a1"),
+    ({"rotation_events": [{"start_index": 50, "duration_samples": 100,
+                           "peak_rate_rad_s": 2.0, "axis": [0.0, 0.6, 0.8]}]},
+     "9bcb57822729c7fddf052d6f80c2a36883f37014a02d3cc8ea5ca670ffe8ab20"),
+], ids=["plain", "motion-script"])
+def test_simulate_bytes(tmp_path, capsys, script, digest):
+    argv = ["simulate", "--config", _cli_config(tmp_path, "config.json"),
+            "--out", str(tmp_path / "sim")]
+    if script is not None:
+        (tmp_path / "motion.json").write_text(json.dumps(script))
+        argv += ["--motion-script", str(tmp_path / "motion.json")]
+    assert main(argv) == 0
+    assert sha256(tmp_path / "sim" / "recordings.jsonl") == digest
 
 
 def test_classify_and_detect_bytes(tmp_path, capsys):

@@ -167,6 +167,68 @@ class TestJsonLines:
         with pytest.raises(ValueError, match="line 2"):
             load_recordings(path)
 
+    @pytest.mark.parametrize("field", ["mag", "gyro"])
+    @pytest.mark.parametrize("sample", [
+        [True, 0.0, 0.0], [0.0, False, 0.0], [0.0, 0.0, "1.5"], [None, 0.0, 0.0],
+        [[0.0], 0.0, 0.0], [10**400, 0.0, 0.0], 1.0, "abc", {"x": 0.0},
+    ], ids=["true", "false", "numeric-string", "null", "nested", "huge-integer",
+            "number-row", "string-row", "object-row"])
+    def test_mistyped_sample_names_line_and_rejects_file(self, tmp_path, field,
+                                                         sample):
+        good = {"device_id": "d", "rate_hz": 100.0, "mag": [[0, 0, 0], [1, 2, 3]],
+                "gyro": [[0, 0, 0], [0, 0, 0]]}
+        bad = json.loads(json.dumps(good))
+        bad[field][1] = sample
+        path = tmp_path / "mixed.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ValueError, match="line 2"):
+            load_recordings(path)
+
+    @pytest.mark.parametrize("field, samples", [
+        ("mag", None), ("mag", 5), ("gyro", "samples"), ("gyro", {"x": 0}),
+        ("mag", []), ("gyro", []),
+    ], ids=["null-mag", "number", "string", "object", "empty-mag", "empty-gyro"])
+    def test_mistyped_sample_array_rejected(self, tmp_path, field, samples):
+        obj = {"device_id": "d", "rate_hz": 100.0, "mag": [[0, 0, 0], [1, 2, 3]],
+               field: samples}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(ValueError, match="line 1"):
+            load_recordings(path)
+
+    @pytest.mark.parametrize("device_id", [5, ["x"], None], ids=["number", "list", "null"])
+    def test_non_string_device_id_rejected(self, tmp_path, device_id):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({"device_id": device_id, "rate_hz": 100.0,
+                                    "mag": [[0, 0, 0], [1, 2, 3]]}) + "\n")
+        with pytest.raises(ValueError, match="line 1: device_id"):
+            load_recordings(path)
+
+    def test_integer_samples_accepted(self, tmp_path):
+        path = tmp_path / "ints.jsonl"
+        path.write_text(json.dumps({"device_id": "d", "rate_hz": 100,
+                                    "mag": [[0, 0, 0], [1, 2, 3]]}) + "\n")
+        assert load_recordings(path)[0].mag.tolist() == [[0, 0, 0], [1, 2, 3]]
+
+    @pytest.mark.parametrize("text", ["a\u2028b", "a\x85b", "\u2029"],
+                             ids=["U+2028", "U+0085", "U+2029"])
+    def test_line_separators_in_strings_round_trip(self, tmp_path, text):
+        rec = replace(make_recording(), device_id=text, label=text,
+                      meta={text: text})
+        path = tmp_path / "recs.jsonl"
+        save_recordings([rec, make_recording(seed=1)], path)
+        loaded = load_recordings(path)
+        assert len(loaded) == 2
+        assert (loaded[0].device_id, loaded[0].label, loaded[0].meta) == \
+            (text, text, {text: text})
+        assert np.array_equal(loaded[0].mag, rec.mag)
+
+    def test_crlf_line_ends_accepted(self, tmp_path):
+        path = tmp_path / "crlf.jsonl"
+        save_recordings([make_recording(seed=i) for i in range(2)], path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert len(load_recordings(path)) == 2
+
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "unknown.jsonl"
         path.write_text(json.dumps({"device_id": "d", "rate_hz": 1.0,
