@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -21,7 +22,7 @@ from .forest import _predict_labels, load_model, save_model
 from .metrics import evaluate, format_report_text
 from .preprocess import preprocess_recording
 from .simulate import load_device_profile, load_motion_script, render_recording
-from .traces import load_recordings, save_recordings
+from .traces import _json_object, load_recordings, save_recordings
 
 
 class _Parser(argparse.ArgumentParser):
@@ -34,11 +35,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_config(path: str, seed: int | None, profile_path: str | None,
                  scenario: str | None = None) -> ExperimentConfig:
-    obj = json.loads(Path(path).read_text(encoding="utf-8")) if path else {}
-    if scenario is not None:
-        obj["scenario"] = scenario
-    if seed is not None:
-        obj["seed"] = seed
+    text = Path(path).read_text(encoding="utf-8") if path else "{}"
+    obj = _json_object(json.loads(text), "config")
+    obj.update((k, v) for k, v in (("scenario", scenario), ("seed", seed))
+               if v is not None)
     cfg = ExperimentConfig.from_dict(obj)
     if profile_path:
         cfg = replace(cfg, device_profiles=(load_device_profile(profile_path),))
@@ -71,12 +71,15 @@ def _cmd_train(args) -> int:
     if not args.out:
         raise ValueError("train requires --out")
     recordings = load_recordings(args.data)
-    if any(rec.label is None for rec in recordings):
+    labels = [rec.label for rec in recordings]
+    if None in labels:
         raise ValueError("training recordings must all carry labels")
+    class_names = tuple(dict.fromkeys(labels))
+    for label in class_names:  # each label names a pattern file
+        if any(sep and sep in label for sep in ("/", os.sep, os.altsep, "\0")):
+            raise ValueError(f"label {label!r} cannot be part of a file name")
     cfg = _load_config(args.config, args.seed, None)
     traces = [preprocess_recording(rec, args.rate) for rec in recordings]
-    labels = [rec.label for rec in recordings]
-    class_names = tuple(dict.fromkeys(labels))
     patterns = [_detect.average_pattern(
         [t for t, t_label in zip(traces, labels) if t_label == label], label)
         for label in sorted(class_names)]
@@ -156,7 +159,7 @@ def _cmd_detect(args) -> int:
              if args.truth else None)
     lines = []
     per_stream = []
-    for rec in recordings:
+    for index, rec in enumerate(recordings):
         stream = preprocess_recording(rec)
         series = _detect.cross_correlate(stream, pattern)
         if model is not None:
@@ -173,6 +176,7 @@ def _cmd_detect(args) -> int:
                 "time_s": det.time_index / stream.rate_hz,
                 "score": det.score,
                 "label": det.predicted_label,
+                "stream": index,
             }, separators=(",", ":")))
     output = "".join(line + "\n" for line in lines)
     scores = None
@@ -287,7 +291,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"magspy: error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - contract: runtime errors exit 2

@@ -23,7 +23,8 @@ import numpy as np
 from .forest import ForestModel, _predict_labels
 from .metrics import ConfusionCounts
 from .preprocess import _round_half_up, normalize_unit_range
-from .traces import Trace1D, _check_count, _check_real, _Series
+from .traces import (Trace1D, _check_count, _check_entries, _check_real,
+                     _from_dict, _Series)
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,6 +39,11 @@ class ActivityPattern(_Series):
     class_label: str
 
     _values_name = "pattern values"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not isinstance(self.class_label, str):
+            raise ValueError(f"class_label must be a string, not {self.class_label!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,4 +281,5 @@ def save_pattern(pattern: ActivityPattern, path) -> None:
 
 def load_pattern(path) -> ActivityPattern:
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    return ActivityPattern(obj["values"], obj["rate_hz"], obj["class_label"])
+    return _from_dict(ActivityPattern, obj, "activity pattern", values=lambda values:
+                      _check_entries("pattern values", values, {int, float}))

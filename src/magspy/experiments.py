@@ -33,18 +33,12 @@ from .simulate import (DeviceProfile, _stable_seed, estimate_snr,
                        random_motion_script, render_recording,
                        synth_square_pattern)
 from .traces import (UNMONITORED_LABEL, CpuPattern, SensorRecording, Trace1D,
-                     _check_count, _check_real)
+                     _check_count, _check_real, _from_dict)
 
-# Config fields read from nested JSON documents, as (value, seed) -> field
-# value. An empty or null document keeps the field's default.
-_NESTED_FIELDS = {
-    "device_profiles": lambda value, seed: tuple(profile_from_dict(p) for p in value),
-    "forest": lambda value, seed: ForestConfig.from_dict(value),
-    "grid": lambda value, seed: (
-        default_config_grid(seed) if value == "default"
-        else tuple(ForestConfig.from_dict(c) for c in value)),
-    "motion_thresholds": lambda value, seed: MotionThresholds(**value),
-}
+
+def _nested(read, default=None):
+    """A reader of a nested config document; an empty or null one keeps ``default``."""
+    return lambda value: read(value) if value else default
 
 
 def _plain(value):
@@ -156,22 +150,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        unknown = set(obj) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        kwargs = {}
-        try:
-            for name, value in obj.items():
-                if name in _NESTED_FIELDS:
-                    if value:
-                        kwargs[name] = _NESTED_FIELDS[name](value, obj.get("seed", 0))
-                elif name in ("rates", "gains"):
-                    kwargs[name] = tuple(value)
-                else:
-                    kwargs[name] = value
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ValueError(f"invalid config: {exc}") from exc
+        return _from_dict(
+            cls, obj, "config", rates=tuple, gains=tuple,
+            grid=_nested(lambda value: default_config_grid(obj.get("seed", 0))
+                         if value == "default"
+                         else tuple(map(ForestConfig.from_dict, value))),
+            device_profiles=_nested(lambda value: tuple(map(profile_from_dict, value))),
+            forest=_nested(ForestConfig.from_dict, ForestConfig()),
+            motion_thresholds=_nested(
+                lambda value: _from_dict(MotionThresholds, value, "motion thresholds"),
+                MotionThresholds()))
 
 
 def _child_seed(root: int, *parts) -> int:

@@ -37,14 +37,15 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .preprocess import _round_half_up
-from .traces import Dataset, Trace1D, _check_count, _check_real, _frozen_array
+from .traces import (Dataset, Trace1D, _check_count, _check_entries, _check_real,
+                     _from_dict, _frozen_array, _json_object)
 
 #: Default number of binned-mean features per trace.
 DEFAULT_BIN_COUNT = 50
@@ -101,15 +102,7 @@ class ForestConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ForestConfig":
-        if not isinstance(obj, dict):
-            raise ValueError(f"forest config must be an object, not {obj!r}")
-        unknown = set(obj) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown forest config fields: {sorted(unknown)}")
-        try:
-            return cls(**obj)
-        except TypeError as exc:
-            raise ValueError(f"invalid forest config: {exc}") from exc
+        return _from_dict(cls, obj, "forest config")
 
 
 def default_config_grid(seed: int = 0) -> tuple[ForestConfig, ...]:
@@ -652,20 +645,14 @@ def save_model(model: ForestModel, path) -> None:
                           encoding="utf-8")
 
 
-def _integers(name: str, values: list) -> np.ndarray:
-    """JSON integers, not bools or fractions, as an int64 array."""
-    if not set(map(type, values)) <= {int}:
-        raise ValueError(f"{name} entries must be integers")
-    return np.array(values, dtype=np.int64)
-
-
 def load_model(path) -> ForestModel:
     """Read a :func:`save_model` document, checking the type of every entry.
 
     Counts rows of internal nodes are not read.
     """
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    if type(obj) is not dict or obj.get("format") != _MODEL_FORMAT:
+    obj = _json_object(json.loads(Path(path).read_text(encoding="utf-8")), "model",
+                       {"format", "config", "class_names", "n_features", "trees"})
+    if obj.get("format") != _MODEL_FORMAT:
         raise ValueError(f"not a {_MODEL_FORMAT} document")
     config = ForestConfig.from_dict(obj.get("config"))
     class_names = obj.get("class_names")
@@ -684,16 +671,17 @@ def load_model(path) -> ForestModel:
         raise ValueError("trees need nodes and one entry per node in each array")
     feature, threshold, left, right, counts = (
         list(itertools.chain.from_iterable(tree[key] for tree in trees)) for key in keys)
-    if not set(map(type, threshold)) <= {int, float, type(None)}:
-        raise ValueError("threshold entries must be numbers or null")
+    _check_entries("threshold", threshold, {int, float, type(None)}, "numbers or null")
     try:
-        feature, left, right = (_integers(name, values) for name, values in
-                                (("feature", feature), ("left", left), ("right", right)))
+        feature, left, right = (
+            np.array(_check_entries(name, values, {int}, "integers"), dtype=np.int64)
+            for name, values in (("feature", feature), ("left", left), ("right", right)))
         threshold = np.array(threshold, dtype=np.float64)  # null reads as NaN
         rows = list(itertools.compress(counts, (feature < 0).tolist()))
         if set(map(type, rows)) - {list} or set(map(len, rows)) - {len(class_names)}:
             raise ValueError("each counts row must hold one entry per class")
-        counts = _integers("counts", list(itertools.chain.from_iterable(rows)))
+        counts = list(itertools.chain.from_iterable(rows))
+        counts = np.array(_check_entries("counts", counts, {int}, "integers"), np.int64)
     except OverflowError as exc:
         raise ValueError(f"model entry out of range: {exc}") from exc
     if np.any(counts > 2**53):

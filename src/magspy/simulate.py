@@ -16,14 +16,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .preprocess import pca_first_component
 from .traces import (CpuPattern, SensorRecording, _check_count, _check_real,
-                     _frozen_array, _positive_rate)
+                     _from_dict, _frozen_array, _json_object, _positive_rate)
 
 #: A plausible ambient geomagnetic field, microtesla.
 DEFAULT_BASELINE_FIELD = (20.0, 5.0, 43.0)
@@ -100,7 +100,7 @@ class RotationEvent:
 class MotionScript:
     """Rotation-rate pulses applied to the device orientation during rendering."""
 
-    rotation_events: tuple[RotationEvent, ...]
+    rotation_events: tuple[RotationEvent, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "rotation_events", tuple(self.rotation_events))
@@ -115,9 +115,13 @@ def profile_for_snr(snr_db: float, *, noise_std: float = 1.0, rate_hz: float = 1
     Under the linear coupling model the calibration amplitude equals the
     gain, so gain = noise_std * 10**(snr_db / 20).
     """
-    gain = noise_std * 10.0 ** (snr_db / 20.0)
-    return DeviceProfile(baseline_field, coupling_dir, gain, noise_std, rate_hz,
-                         gyro_noise_std=gyro_noise_std)
+    return DeviceProfile(baseline_field, coupling_dir, _snr_gain(snr_db, noise_std),
+                         noise_std, rate_hz, gyro_noise_std=gyro_noise_std)
+
+
+def _snr_gain(snr_db, noise_std) -> float:
+    _check_real("snr_db", snr_db)
+    return noise_std * 10.0 ** (snr_db / 20.0)
 
 
 def make_class_signature(class_id: str, duration_s: float, rate_hz: float,
@@ -383,26 +387,22 @@ def random_motion_script(n_samples: int, rate_hz: float, seed: int, *,
 # JSON config documents for profiles and motion scripts
 # ---------------------------------------------------------------------------
 
+# Fields a device profile document may leave out, as in profile_for_snr.
+_PROFILE_DEFAULTS = dict(baseline_field=DEFAULT_BASELINE_FIELD,
+                         coupling_dir=DEFAULT_COUPLING_DIR, noise_std=1.0, rate_hz=100.0)
+
+
 def profile_from_dict(obj: dict) -> DeviceProfile:
-    known = {f.name for f in fields(DeviceProfile)} | {"snr_db"}
-    unknown = set(obj) - known
-    if unknown:
-        raise ValueError(f"unknown device profile fields: {sorted(unknown)}")
-    try:
-        if "snr_db" in obj:
-            extra = {k: obj[k] for k in ("noise_std", "rate_hz", "baseline_field",
-                                         "coupling_dir", "gyro_noise_std") if k in obj}
-            return profile_for_snr(obj["snr_db"], **extra)
-        return DeviceProfile(
-            baseline_field=obj.get("baseline_field", DEFAULT_BASELINE_FIELD),
-            coupling_dir=obj.get("coupling_dir", DEFAULT_COUPLING_DIR),
-            gain=obj["gain"],
-            noise_std=obj.get("noise_std", 1.0),
-            rate_hz=obj.get("rate_hz", 100.0),
-            gyro_noise_std=obj.get("gyro_noise_std", 0.0),
-        )
-    except TypeError as exc:
-        raise ValueError(f"invalid device profile: {exc}") from exc
+    """A device profile document: ``snr_db`` in place of ``gain`` becomes the
+    gain of :func:`profile_for_snr` before the profile is built."""
+    doc = {**_PROFILE_DEFAULTS, **_json_object(obj, "device profile")}
+    if "snr_db" not in doc:
+        return _from_dict(DeviceProfile, doc, "device profile")
+    if "gain" in doc:
+        raise ValueError("a device profile gives snr_db or gain, not both")
+    doc["gain"] = doc.pop("snr_db")
+    return _from_dict(DeviceProfile, doc, "device profile",
+                      gain=lambda snr_db: _snr_gain(snr_db, doc["noise_std"]))
 
 
 def load_device_profile(path) -> DeviceProfile:
@@ -410,13 +410,9 @@ def load_device_profile(path) -> DeviceProfile:
 
 
 def motion_script_from_dict(obj: dict) -> MotionScript:
-    try:
-        return MotionScript(tuple(
-            RotationEvent(ev["start_index"], ev["duration_samples"],
-                          ev["peak_rate_rad_s"], ev["axis"])
-            for ev in obj.get("rotation_events", [])))
-    except TypeError as exc:
-        raise ValueError(f"invalid motion script: {exc}") from exc
+    return _from_dict(MotionScript, obj, "motion script", rotation_events=lambda events:
+                      tuple(_from_dict(RotationEvent, event, "rotation event")
+                            for event in events))
 
 
 def load_motion_script(path) -> MotionScript:

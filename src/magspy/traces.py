@@ -6,14 +6,15 @@ authoritative and no per-sample timestamps are kept. All types are immutable
 after construction, with read-only arrays, so they are safe to share.
 The series types here and in :mod:`magspy.detect` share one base,
 :class:`_Series`; other numeric fields go through :func:`_check_count`
-and :func:`_check_real`.
+and :func:`_check_real`. :func:`_from_dict` builds every JSON document the
+package reads, and :func:`_check_entries` types the entries of its arrays.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -59,6 +60,37 @@ def _check_real(name: str, value, minimum: float = float("-inf"), *,
     if value < minimum or (exclusive and value == minimum):
         bound = "greater than" if exclusive else "at least"
         raise ValueError(f"{name} must be {bound} {minimum}")
+
+
+def _check_entries(name: str, values, types: set, kind: str = "numbers"):
+    """``values`` (any iterable) if each entry's exact type, so never a bool
+    for ``int``, is in ``types``: one C-level ``set(map(type, ...))`` pass."""
+    if not set(map(type, values)) <= types:
+        raise ValueError(f"{name} must hold only {kind}")
+    return values
+
+
+def _json_object(obj, what: str, keys=None) -> dict:
+    """``obj`` if it is a JSON object with no key outside ``keys`` (if given)."""
+    if type(obj) is not dict:
+        raise ValueError(f"{what} must be a JSON object, not {type(obj).__name__}")
+    unknown = obj.keys() - keys if keys is not None else ()
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    return obj
+
+
+def _from_dict(cls, obj, what: str, **convert):
+    """``cls`` built from the JSON object ``obj``, whose keys must be fields of
+    ``cls``, after ``convert[field]`` maps each value; ``cls`` supplies defaults
+    and checks. Any TypeError or OverflowError, such as a missing field,
+    becomes a ValueError naming the document, ``what``."""
+    _json_object(obj, what, {f.name for f in fields(cls)})
+    try:
+        return cls(**{name: convert[name](value) if name in convert else value
+                      for name, value in obj.items()})
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"invalid {what}: {exc}") from exc
 
 
 def _positive_rate(rate_hz) -> float:
@@ -107,11 +139,10 @@ class SensorRecording:
             raise ValueError("device_id must be a string")
         if self.label is not None and not isinstance(self.label, str):
             raise ValueError("label must be a string when present")
-        meta = dict(self.meta)
-        for k, v in meta.items():
-            if not isinstance(k, str) or not isinstance(v, str):
-                raise ValueError("meta must map strings to strings")
-        object.__setattr__(self, "meta", meta)
+        if not isinstance(self.meta, dict) or not all(
+                isinstance(s, str) for s in chain.from_iterable(self.meta.items())):
+            raise ValueError("meta must map strings to strings")
+        object.__setattr__(self, "meta", dict(self.meta))
 
     def __len__(self) -> int:
         return self.mag.shape[0]
@@ -227,9 +258,6 @@ class Dataset:
 # preserves values exactly (beyond the 9-significant-digit contract).
 # ---------------------------------------------------------------------------
 
-_RECORD_KEYS = {"device_id", "label", "rate_hz", "mag", "gyro", "meta"}
-
-
 def _recording_to_obj(rec: SensorRecording) -> dict:
     obj: dict = {"device_id": rec.device_id}
     if rec.label is not None:
@@ -252,31 +280,18 @@ def _sample_array(values, name: str) -> np.ndarray:
     converts the checked entries.
     """
     if (type(values) is not list or not set(map(type, values)) <= {list}
-            or not set(map(len, values)) <= {3}
-            or not set(map(type, chain.from_iterable(values))) <= {float, int}):
+            or not set(map(len, values)) <= {3}):
         raise ValueError(f"{name} must be an array of [x, y, z] number triples")
+    _check_entries(name, chain.from_iterable(values), {float, int})
     flat = np.fromiter(chain.from_iterable(values), np.float64, 3 * len(values))
     return flat.reshape(-1, 3)
 
 
-def _recording_from_obj(obj: dict) -> SensorRecording:
-    if not isinstance(obj, dict):
-        raise ValueError("record is not a JSON object")
-    unknown = set(obj) - _RECORD_KEYS
-    if unknown:
-        raise ValueError(f"unknown fields: {sorted(unknown)}")
-    for req in ("device_id", "rate_hz", "mag"):
-        if req not in obj:
-            raise ValueError(f"missing required field {req!r}")
-    gyro = obj.get("gyro")
-    return SensorRecording(
-        device_id=obj["device_id"],
-        rate_hz=obj["rate_hz"],
-        mag=_sample_array(obj["mag"], "mag"),
-        gyro=None if gyro is None else _sample_array(gyro, "gyro"),
-        label=obj.get("label"),
-        meta=obj.get("meta") or {},
-    )
+def _recording_from_obj(obj) -> SensorRecording:
+    return _from_dict(SensorRecording, obj, "recording",
+                      mag=lambda mag: _sample_array(mag, "mag"),
+                      gyro=lambda gyro: None if gyro is None
+                      else _sample_array(gyro, "gyro"))
 
 
 def save_recordings(recordings: Sequence[SensorRecording], path) -> None:
@@ -307,6 +322,6 @@ def load_recordings(path) -> list[SensorRecording]:
                 raise ValueError(f"{p}: line {lineno}: invalid JSON ({exc.msg})") from exc
             try:
                 out.append(_recording_from_obj(obj))
-            except (ValueError, TypeError, OverflowError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"{p}: line {lineno}: {exc}") from exc
     return out

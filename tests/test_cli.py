@@ -137,8 +137,9 @@ class TestSimulateTrainClassify:
         ("class_names", {"class_names": ["A", "A", "B"]}),
         ("trees", {"trees": []}),
         ("nodes", {"trees": [tree_doc([], [], [], [], [])]}),
+        ("bogus", {"bogus": 1}),
     ], ids=["fractional-n-features", "duplicate-class-names", "no-trees",
-            "tree-without-nodes"])
+            "tree-without-nodes", "unknown-key"])
     def test_classify_rejects_bad_model_header(self, tmp_path, capsys, field,
                                                override):
         leaf = tree_doc([-1], [None], [-1], [-1], [[1, 0, 0]])
@@ -306,6 +307,8 @@ class TestDetectCommand:
                                  [{"stream": 0, "time_s": 10.0, "label": "x"},
                                   {"stream": 1, "time_s": 10.0, "label": "x"}])
         assert (rc, scores) == (0, {"tp": 2, "fp": 0, "fn": 0})
+        lines = (tmp_path / "det" / "detections.jsonl").read_text().splitlines()
+        assert [json.loads(line)["stream"] for line in lines] == [0, 1]
 
     def test_detect_never_matches_across_streams(self, tmp_path, capsys):
         # The only event at 15 s is in stream 1; truth places it in stream 0.
@@ -344,6 +347,26 @@ class TestDetectCommand:
         assert (rc, scores) == (0, {"tp": 2, "fp": 0, "fn": 0})
         assert _read_truth(tmp_path / "truth.jsonl", [100.0, 100.0]) == \
             [[(1000, label)], [(1000, label)]]
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: [doc],
+        lambda doc: doc["values"].__setitem__(0, True),
+        lambda doc: doc["values"].__setitem__(0, "0.5"),
+        lambda doc: doc.__setitem__("class_label", 7),
+        lambda doc: doc.__setitem__("bogus", 1),
+        lambda doc: doc.__delitem__("rate_hz"),
+    ], ids=["not-an-object", "bool-value", "string-value", "integer-class-label",
+            "unknown-key", "missing-rate"])
+    def test_detect_rejects_malformed_pattern(self, tmp_path, capsys, edit):
+        data, ppath = self._event_streams(tmp_path, [1000])
+        doc = json.loads(ppath.read_text())
+        ppath.write_text(json.dumps(edit(doc) or doc))
+        out_dir = tmp_path / "det"
+        assert main(["detect", "--pattern", str(ppath), "--data", str(data),
+                     "--min-height", "8", "--min-prominence", "4",
+                     "--out", str(out_dir)]) == 1
+        assert "magspy: error:" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("stream", ["1", 1.0, 2, -1, True])
     def test_detect_rejects_bad_truth_stream(self, tmp_path, capsys, stream):
@@ -497,10 +520,24 @@ class TestExitCodes:
         ("device-profile", '{"gain": 3.0, "coupling_dir": [NaN, 0, 0]}'),
         ("device-profile", '{"gain": 3.0, "baseline_field": [Infinity, 0, 50]}'),
         ("config", '{"class_count": "2", "traces_per_class": 2}'),
+        ("config", '[]'),
+        ("config", '"x"'),
+        ("device-profile", '[]'),
+        ("device-profile", '"x"'),
+        ("device-profile", '{"snr_db": 12, "gain": 5}'),
+        ("device-profile", '{"snr_db": true}'),
+        ("motion-script", '[]'),
+        ("motion-script", '"x"'),
+        ("motion-script", '{"rotation_events": [], "bogus": 1}'),
+        ("motion-script", '{"rotation_events": [{"start_index": 50, '
+         '"duration_samples": 100, "peak_rate_rad_s": 2.0, "axis": [0, 0, 1], '
+         '"bogus": 1}]}'),
     ], ids=["nan-peak-rate", "fractional-start-index", "bool-start-index",
             "bool-duration", "bool-peak-rate", "nan-axis", "string-gain",
             "nan-noise-std", "bool-gain", "nan-coupling-dir", "inf-baseline-field",
-            "string-class-count"])
+            "string-class-count", "list-config", "string-config", "list-profile",
+            "string-profile", "snr-and-gain", "bool-snr", "list-script",
+            "string-script", "unknown-script-key", "unknown-event-key"])
     def test_bad_outside_document_is_validation_error(self, tmp_path, capsys,
                                                       monkeypatch, kind, doc):
         # Every document is read and checked before the first recording.
@@ -629,6 +666,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "magspy: error:" in err and field in err
 
+    @pytest.mark.parametrize("doc", ["[]", '"x"'], ids=["list", "string"])
+    @pytest.mark.parametrize("argv", [
+        ["eval"], ["eval", "--seed", "3"], ["snr"], ["simulate", "--seed", "3"],
+    ], ids=["eval", "eval-seed", "snr-scenario", "simulate-seed"])
+    def test_non_object_config_is_validation_error(self, tmp_path, capsys, doc, argv):
+        # The --seed and scenario overrides apply only to a config object.
+        path = tmp_path / "config.json"
+        path.write_text(doc)
+        out_dir = tmp_path / "out"
+        assert main([*argv, "--config", str(path), "--out", str(out_dir)]) == 1
+        assert "magspy: error: config must be a JSON object" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_missing_config_file_is_validation_error(self, tmp_path, capsys):
         assert main(["eval", "--config", str(tmp_path / "nope.json")]) == 1
 
@@ -666,6 +716,24 @@ class TestExitCodes:
         assert main(["train", "--config", write_config(tmp_path), "--data",
                      str(data), "--out", str(out_dir)]) == 1
         assert "'class-000'" in capsys.readouterr().err
+        assert not (out_dir / "model.json").exists()
+
+    @pytest.mark.parametrize("label", ["a/b", "x\u0000y"], ids=["slash", "nul"])
+    def test_train_rejects_label_unfit_for_a_file_name(self, tmp_path, capsys, label):
+        # Each label names a pattern file, so a bad one must stop the run
+        # before model.json is written.
+        sim = tmp_path / "sim"
+        main(["simulate", "--config", write_config(tmp_path, class_count=2,
+                                                    traces_per_class=3),
+              "--out", str(sim)])
+        data = tmp_path / "data.jsonl"
+        save_recordings([replace(rec, label=label) if rec.label == "class-001" else rec
+                         for rec in load_recordings(sim / "recordings.jsonl")], data)
+        capsys.readouterr()
+        out_dir = tmp_path / "model"
+        assert main(["train", "--config", write_config(tmp_path), "--data",
+                     str(data), "--out", str(out_dir)]) == 1
+        assert "magspy: error:" in capsys.readouterr().err
         assert not (out_dir / "model.json").exists()
 
     def test_unlabeled_training_data_rejected(self, tmp_path, capsys):

@@ -153,7 +153,7 @@ def test_classify_and_detect_bytes(tmp_path, capsys):
         "pred/report.json":
             "d9bf746abb2e8fa8c1b1b0c10c1606af5cd77029dbfb8ea35a99198fef8123d6",
         "det/detections.jsonl":
-            "d120e8cde2769ea7fb95d209e06ef27db5ae656862347120f46b4224b783bfbd",
+            "c2a66024566219154d40fd32471a7561689af51d12b245b5acfa09b2e4277b8c",
         "det/scores.json":
             "c7d28aadcd16e4c9aba834b1e4d291d0077b538b1cfce541659f871d11f15854",
     }

@@ -1,10 +1,16 @@
+import copy
 import json
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from magspy.detect import ActivityPattern, CorrelationSeries
+from magspy.detect import ActivityPattern, CorrelationSeries, load_pattern
+from magspy.experiments import ExperimentConfig
+from magspy.forest import ForestConfig
+from magspy.simulate import motion_script_from_dict, profile_from_dict
 from magspy.traces import (CpuPattern, Dataset, SensorRecording, Trace1D,
                            load_recordings, save_recordings)
 
@@ -204,6 +210,16 @@ class TestJsonLines:
         with pytest.raises(ValueError, match="line 1: device_id"):
             load_recordings(path)
 
+    @pytest.mark.parametrize("meta", [[["a", "b"]], ["ab"], None, {"k": 1}],
+                             ids=["pair-list", "two-char-string", "null", "number-value"])
+    def test_meta_must_be_an_object_of_strings(self, tmp_path, meta):
+        # dict() would read [["a", "b"]] and even ["ab"] as {"a": "b"}.
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({"device_id": "d", "rate_hz": 100.0,
+                                    "mag": [[0, 0, 0]], "meta": meta}) + "\n")
+        with pytest.raises(ValueError, match="line 1: meta must map strings"):
+            load_recordings(path)
+
     def test_integer_samples_accepted(self, tmp_path):
         path = tmp_path / "ints.jsonl"
         path.write_text(json.dumps({"device_id": "d", "rate_hz": 100,
@@ -239,3 +255,100 @@ class TestJsonLines:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_recordings(tmp_path / "nope.jsonl")
+
+
+# ---------------------------------------------------------------------------
+# Every reader of an outside document, fed mutations of a valid one
+# ---------------------------------------------------------------------------
+
+_FOREST_DOC = {"n_estimators": 3, "max_features": "sqrt", "max_depth": 5,
+               "min_impurity_decrease": 0.0, "bootstrap": False, "seed": 1}
+_EVENT_DOC = {"start_index": 5, "duration_samples": 10, "peak_rate_rad_s": 1.0,
+              "axis": [0.0, 0.6, 0.8]}
+
+
+def _read_file(reader, suffix="\n"):
+    def read(doc, path):
+        path.write_text(json.dumps(doc) + suffix)
+        return reader(path)
+    return read
+
+
+def _read_object(reader):
+    return lambda doc, path: reader(json.loads(json.dumps(doc)))
+
+
+DOCUMENT_READERS = {
+    "config": (_read_object(ExperimentConfig.from_dict), {
+        "scenario": "movement", "class_count": 2, "seed": 4, "forest": _FOREST_DOC,
+        "grid": [_FOREST_DOC, {"n_estimators": 2}], "rates": [100.0, 10.0],
+        "device_profiles": [{"snr_db": 12.0}, {"gain": 2.0, "noise_std": 0.5}],
+        "motion_thresholds": {"mean_threshold": 0.1, "max_threshold": 0.9},
+        "gains": [0.0, 1.5]}),
+    "default-grid-config": (_read_object(ExperimentConfig.from_dict),
+                            {"grid": "default", "seed": 2, "snr_db": 9.0}),
+    "forest-config": (_read_object(ForestConfig.from_dict), _FOREST_DOC),
+    "gain-profile": (_read_object(profile_from_dict), {
+        "gain": 2.0, "noise_std": 0.5, "rate_hz": 50.0, "gyro_noise_std": 0.01,
+        "baseline_field": [20.0, 5.0, 43.0], "coupling_dir": [0.0, 0.6, 0.8]}),
+    "snr-profile": (_read_object(profile_from_dict),
+                    {"snr_db": 12.0, "noise_std": 2.0, "coupling_dir": [0.0, 0.0, 1.0]}),
+    "motion-script": (_read_object(motion_script_from_dict),
+                      {"rotation_events": [_EVENT_DOC, {**_EVENT_DOC, "start_index": 0}]}),
+    "pattern": (_read_file(load_pattern),
+                {"class_label": "x", "rate_hz": 10.0, "values": [0.5, -0.25, -0.25]}),
+    "recording-line": (_read_file(load_recordings), {
+        "device_id": "d", "label": "a", "rate_hz": 100.0,
+        "mag": [[1.0, 2.0, 3.0], [4, 5, 6]], "gyro": [[0.0, 0.0, 0.0], [0.1, 0, 0]],
+        "meta": {"k": "v"}}),
+}
+
+# Stand-ins for a value: bools, strings, null, lists and objects, and numbers
+# no field takes (huge integers overflow a float).
+_JSON_VALUES = st.one_of(
+    st.booleans(), st.text(max_size=4), st.none(),
+    st.lists(st.one_of(st.integers(-2, 2), st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 2), max_size=2),
+    st.integers(), st.floats())
+
+
+def _mutate(data, doc):
+    """``doc`` with one key dropped or added or one value swapped, at any depth,
+    or a stand-in for the whole document."""
+    if data.draw(st.integers(0, 7)) == 0:
+        return data.draw(_JSON_VALUES)
+    doc = copy.deepcopy(doc)
+    parent = doc
+    while True:
+        key = data.draw(st.sampled_from(
+            list(parent) if isinstance(parent, dict) else range(len(parent))))
+        child = parent[key]
+        if not (isinstance(child, (dict, list)) and child and data.draw(st.booleans())):
+            break
+        parent = child
+    action = data.draw(st.sampled_from(["drop", "add", "swap"]))
+    if action == "drop":
+        del parent[key]
+    elif action == "add" and isinstance(parent, list):
+        parent.append(data.draw(_JSON_VALUES))
+    else:
+        new_key = data.draw(st.text(max_size=4)) if action == "add" else key
+        parent[new_key] = data.draw(_JSON_VALUES)
+    return doc
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENT_READERS))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_document_loads_or_raises_value_error(tmp_path, name, data):
+    # Each reader either builds the document or rejects it with ValueError,
+    # which the CLI turns into exit 1; a TypeError, KeyError or
+    # AttributeError escaping would exit 2 or crash.
+    read, doc = DOCUMENT_READERS[name]
+    path = tmp_path / "document.json"
+    read(doc, path)  # the unmutated document is valid
+    try:
+        read(_mutate(data, doc), path)
+    except ValueError:
+        pass
