@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import detect as _detect
@@ -22,7 +21,8 @@ from .forest import _predict_labels, load_model, save_model
 from .metrics import evaluate, format_report_text
 from .preprocess import preprocess_recording
 from .simulate import load_device_profile, load_motion_script, render_recording
-from .traces import _json_object, load_recordings, save_recordings
+from .traces import (_check_count, _check_real, _from_dict, _json_lines,
+                     _json_object, load_recordings, save_recordings)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,29 +123,33 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _read_truth(path, rates) -> list[list[tuple[int, str]]]:
-    """Truth events per stream as (sample index, label) lists, one per recording.
+@dataclass(frozen=True)
+class _TruthLine:
+    """One truth event: its time, label and 0-based recording (stream) index."""
 
-    Each JSONL line holds ``time_s``, an optional ``label`` and an optional
-    ``stream``: the 0-based index of the recording in the data file (default 0).
-    """
+    time_s: float
+    label: str = ""
+    stream: int = 0
+
+    def __post_init__(self):
+        _check_real("time_s", self.time_s)
+        _check_count("stream", self.stream)
+        if type(self.label) is not str:
+            raise ValueError(f"label must be a string, not {self.label!r}")
+
+
+def _read_truth(path, rates) -> list[list[tuple[int, str]]]:
+    """Truth events per stream as (sample index, label) lists, one per recording."""
+    def event(obj):
+        line = _from_dict(_TruthLine, obj, "truth line")
+        if not 0 <= line.stream < len(rates):
+            raise ValueError(f"stream must be an integer index below the "
+                             f"{len(rates)} recordings")
+        return line.stream, (int(round(line.time_s * rates[line.stream])), line.label)
+
     truth = [[] for _ in rates]
-    # Split on "\n" only: a label may hold U+2028 or U+0085, which
-    # str.splitlines() would also break at.
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        stream = obj.get("stream", 0) if isinstance(obj, dict) else None
-        if type(stream) is not int or not 0 <= stream < len(rates):
-            raise ValueError(f"{path}: line {lineno}: stream must be an integer "
-                             f"index below the {len(rates)} recordings")
-        time_s = obj.get("time_s")
-        if type(time_s) not in (int, float) or not math.isfinite(time_s):
-            raise ValueError(f"{path}: line {lineno}: time_s must be a finite number")
-        truth[stream].append((int(round(time_s * rates[stream])),
-                              obj.get("label", "")))
+    for stream, item in _json_lines(path, event):
+        truth[stream].append(item)
     return truth
 
 
@@ -202,12 +206,10 @@ def _cmd_detect(args) -> int:
 
 def _cmd_eval(args, scenario: str | None = None) -> int:
     cfg = _load_config(args.config, args.seed, args.device_profile, scenario)
-    overrides = {"mean_threshold": getattr(args, "motion_mean_threshold", None),
-                 "max_threshold": getattr(args, "motion_max_threshold", None)}
-    overrides = {name: v for name, v in overrides.items() if v is not None}
+    overrides = {name: value for name in ("mean_threshold", "max_threshold")
+                 if (value := getattr(args, f"motion_{name}", None)) is not None}
     if overrides:
-        thresholds = replace(cfg.motion_thresholds, **overrides)
-        cfg = replace(cfg, motion_thresholds=thresholds)
+        cfg = replace(cfg, motion_thresholds=replace(cfg.motion_thresholds, **overrides))
     payload, text = run_scenario(cfg)
     if args.out:
         write_report(args.out, payload, text)

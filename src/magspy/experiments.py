@@ -6,10 +6,9 @@ robustness, and device SNR calibration. Every run is a pure function of its
 configuration (including the seed), so reports are byte-identical across
 repeats.
 
-The classification scenarios share one staged pipeline: render labeled
-recordings (``_render_class_traces``), split them (``_split``), fit a forest
-on inverse-augmented training rows (``_fit``), and classify held-out traces
-in one batch (``forest._predict_labels``).
+The classification scenarios share one train/test stage (``_train_test``):
+split the rendered traces (``_split``), fit a forest on inverse-augmented
+training rows (``_fit``), then classify held-out traces in one batch and score.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .forest import (DEFAULT_BIN_COUNT, Dataset, FeatureVector, ForestConfig,
                      _featurize, _predict_labels, cross_validate_grid,
                      default_config_grid, split_dataset, train_forest)
 from .metrics import EvalReport, evaluate, format_report_text
-from .motion import MotionThresholds, filter_dataset
+from .motion import MotionThresholds, is_disturbed, motion_metrics
 from .preprocess import preprocess_recording
 from .simulate import (DeviceProfile, _stable_seed, estimate_snr,
                        make_class_signature, pattern_correlation,
@@ -36,9 +35,14 @@ from .traces import (UNMONITORED_LABEL, CpuPattern, SensorRecording, Trace1D,
                      _check_count, _check_real, _from_dict)
 
 
-def _nested(read, default=None):
-    """A reader of a nested config document; an empty or null one keeps ``default``."""
-    return lambda value: read(value) if value else default
+def _nested(name: str, read, default=None):
+    """A reader of the nested config document ``name``: null, {} or [] keeps
+    ``default``, and any other falsy value (false, 0, "") is rejected."""
+    def nested(value):
+        if not value and value not in (None, {}, []):
+            raise ValueError(f"{name} must be a JSON document, not {value!r}")
+        return read(value) if value else default
+    return nested
 
 
 def _plain(value):
@@ -135,6 +139,10 @@ class ExperimentConfig:
             _check_real("gains", gain, 0.0)
         if self.scenario == "open-world" and self.monitored_count > self.class_count:
             raise ValueError("monitored_count cannot exceed class_count")
+        other_rates = {p.rate_hz for p in self.device_profiles or ()} - {self.rate_hz}
+        if other_rates and self.scenario in ("sweep", "continuous", "movement"):
+            raise ValueError(f"{self.scenario} needs device profiles at rate_hz "
+                             f"{self.rate_hz}, not {min(other_rates)}")
 
     def resolved_profiles(self) -> tuple[DeviceProfile, ...]:
         if self.device_profiles:
@@ -152,14 +160,14 @@ class ExperimentConfig:
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
         return _from_dict(
             cls, obj, "config", rates=tuple, gains=tuple,
-            grid=_nested(lambda value: default_config_grid(obj.get("seed", 0))
+            grid=_nested("grid", lambda value: default_config_grid(obj.get("seed", 0))
                          if value == "default"
                          else tuple(map(ForestConfig.from_dict, value))),
-            device_profiles=_nested(lambda value: tuple(map(profile_from_dict, value))),
-            forest=_nested(ForestConfig.from_dict, ForestConfig()),
-            motion_thresholds=_nested(
-                lambda value: _from_dict(MotionThresholds, value, "motion thresholds"),
-                MotionThresholds()))
+            device_profiles=_nested(
+                "device_profiles", lambda value: tuple(map(profile_from_dict, value))),
+            forest=_nested("forest", ForestConfig.from_dict, ForestConfig()),
+            motion_thresholds=_nested("motion_thresholds", lambda value: _from_dict(
+                MotionThresholds, value, "motion thresholds"), MotionThresholds()))
 
 
 def _child_seed(root: int, *parts) -> int:
@@ -268,45 +276,55 @@ def _fit(cfg: ExperimentConfig, traces, labels, class_names):
     return train_forest(Dataset(tuple(pairs), tuple(class_names)), chosen), chosen
 
 
-# ---------------------------------------------------------------------------
-# Scenario runners
-# ---------------------------------------------------------------------------
-
 @dataclass(eq=False)
 class _ClosedWorldBundle:
-    class_ids: list[str]
-    profiles: tuple[DeviceProfile, ...]
+    """A train/test stage's traces, split, model, report and test-item hits."""
+
     traces: list[Trace1D]
     train_items: tuple
     test_items: tuple
     model: object
     report: EvalReport
+    hits: list[bool]
 
+
+def _train_test(cfg: ExperimentConfig, traces, labels, class_ids, class_names=None,
+                pool=((), ()), background=((), ())) -> _ClosedWorldBundle:
+    """Split the labeled ``traces`` over ``class_ids``, fit on the training
+    split plus the ``pool`` (traces, labels), classify the test split plus the
+    ``background`` (traces, labels) in one batch, and score over
+    ``class_names`` (default ``class_ids``). ``hits`` covers the test split."""
+    class_names = tuple(class_ids if class_names is None else class_names)
+    train_items, test_items = _split(cfg, labels, class_ids)
+    fit_traces, fit_labels = _take(traces, train_items)
+    model, chosen = _fit(cfg, fit_traces + list(pool[0]), fit_labels + list(pool[1]),
+                         class_names)
+    test_traces, test_labels = _take(traces, test_items)
+    predicted, _ = _predict_labels(model, test_traces + list(background[0]))
+    pairs = list(zip(test_labels + list(background[1]), predicted))
+    report = evaluate(pairs, class_names)
+    report.extras["forest_config"] = chosen.to_dict()
+    return _ClosedWorldBundle(traces, train_items, test_items, model, report,
+                              [t == p for t, p in pairs[:len(test_items)]])
+
+
+# ---------------------------------------------------------------------------
+# Scenario runners
+# ---------------------------------------------------------------------------
 
 def _closed_world_core(cfg: ExperimentConfig) -> _ClosedWorldBundle:
     profiles = cfg.resolved_profiles()
     class_ids = _class_ids("class", cfg.class_count)
     traces, labels, profile_ids = _render_class_traces(
         cfg, class_ids, cfg.traces_per_class, profiles, "cw")
-    train_items, test_items = _split(cfg, labels, class_ids)
-
-    fit_traces, fit_labels = _take(traces, train_items)
-    model, chosen = _fit(cfg, fit_traces, fit_labels, class_ids)
-    test_traces, test_labels = _take(traces, test_items)
-    predicted, _ = _predict_labels(model, test_traces)
-    pairs = list(zip(test_labels, predicted))
-    report = evaluate(pairs, tuple(class_ids))
+    core = _train_test(cfg, traces, labels, class_ids)
     if len(profiles) > 1:
-        per_profile = {}
-        for p in range(len(profiles)):
-            sub = [(t, pred) for (i, _), (t, pred) in zip(test_items, pairs)
-                   if profile_ids[i] == p]
-            per_profile[f"device-{p}"] = (
-                float(np.mean([t == pred for t, pred in sub])) if sub else None)
-        report.extras["per_device_accuracy"] = per_profile
-    report.extras["forest_config"] = chosen.to_dict()
-    return _ClosedWorldBundle(class_ids, profiles, traces, train_items, test_items,
-                              model, report)
+        devices = np.asarray([profile_ids[i] for i, _ in core.test_items])
+        hits = np.asarray(core.hits)
+        core.report.extras["per_device_accuracy"] = {
+            f"device-{p}": float(hits[devices == p].mean()) if p in devices else None
+            for p in range(len(profiles))}
+    return core
 
 
 def run_closed_world(cfg: ExperimentConfig) -> EvalReport:
@@ -325,37 +343,24 @@ def run_open_world(cfg: ExperimentConfig) -> EvalReport:
         raise ValueError("monitored set must be non-empty")
     profiles = cfg.resolved_profiles()
     monitored = _class_ids("class", cfg.monitored_count)
-    unmonitored_train = _class_ids("uml", cfg.unmonitored_train_count)
-    background = _class_ids("bg", cfg.background_count)
-
     traces, labels, _ = _render_class_traces(
         cfg, monitored, cfg.traces_per_class, profiles, "cw")
-    train_items, test_items = _split(cfg, labels, monitored)
-
-    has_pool = bool(unmonitored_train) or bool(background)
-    class_names = tuple(monitored) + ((UNMONITORED_LABEL,) if has_pool else ())
-
-    fit_traces, fit_labels = _take(traces, train_items)
-    if unmonitored_train:
-        pool, _, _ = _render_class_traces(
-            cfg, unmonitored_train, cfg.traces_per_class, profiles, "ow-pool")
-        fit_traces += pool
-        fit_labels += [UNMONITORED_LABEL] * len(pool)
-    model, chosen = _fit(cfg, fit_traces, fit_labels, class_names)
-
-    test_traces, test_labels = _take(traces, test_items)
-    if background:
-        bg_traces, _, _ = _render_class_traces(
-            cfg, background, cfg.background_traces_each, profiles, "ow-bg")
-        test_traces += bg_traces
-        test_labels += [UNMONITORED_LABEL] * len(bg_traces)
-    predicted, _ = _predict_labels(model, test_traces)
-    report = evaluate(list(zip(test_labels, predicted)), class_names)
+    unmonitored = []  # (traces, labels) of the training pool, then the background
+    for prefix, count, each, salt in (
+            ("uml", cfg.unmonitored_train_count, cfg.traces_per_class, "ow-pool"),
+            ("bg", cfg.background_count, cfg.background_traces_each, "ow-bg")):
+        rendered, _, _ = _render_class_traces(cfg, _class_ids(prefix, count), each,
+                                              profiles, salt)
+        unmonitored.append((rendered, [UNMONITORED_LABEL] * len(rendered)))
+    pool, background = unmonitored
+    class_names = tuple(monitored) + (
+        (UNMONITORED_LABEL,) if pool[0] or background[0] else ())
+    report = _train_test(cfg, traces, labels, monitored, class_names,
+                         pool, background).report
     monitored_precisions = [report.per_class[name][0] for name in monitored]
     defined = [p for p in monitored_precisions if p is not None]
     report.extras["mean_monitored_precision"] = (
         float(np.mean(defined)) if defined else None)
-    report.extras["forest_config"] = chosen.to_dict()
     return report
 
 
@@ -365,34 +370,23 @@ def run_sampling_sweep(cfg: ExperimentConfig) -> list[tuple[float, float]]:
     Traces are decimated before feature extraction; the feature count is
     clamped to the decimated trace length when it falls below ``bin_count``.
     Each recording is reduced at every rate as soon as it is rendered; at
-    the device rate it is not resampled.
+    the device rate it is not resampled. ``_split`` is seeded, so every rate
+    trains and tests on the same items.
     """
-    for rate in cfg.rates:
-        if rate > cfg.rate_hz:
-            raise ValueError("sweep rates cannot exceed the device rate")
-    profiles = cfg.resolved_profiles()
+    if any(rate > cfg.rate_hz for rate in cfg.rates):
+        raise ValueError("sweep rates cannot exceed the device rate")
     class_ids = _class_ids("class", cfg.class_count)
     by_rate: dict[float, list[Trace1D]] = {rate: [] for rate in cfg.rates}
     labels: list[str] = []
     for class_id, _, _, rec in _render_items(cfg, class_ids, cfg.traces_per_class,
-                                             profiles, "cw"):
+                                             cfg.resolved_profiles(), "cw"):
         for rate, traces in by_rate.items():
             traces.append(preprocess_recording(
                 rec, None if rate == cfg.rate_hz else rate))
         labels.append(class_id)
-    train_items, test_items = _split(cfg, labels, class_ids)
-
-    results: list[tuple[float, float]] = []
-    for rate in cfg.rates:
-        traces = by_rate[rate]
-        fit_traces, fit_labels = _take(traces, train_items)
-        model, _ = _fit(cfg, fit_traces, fit_labels, class_ids)
-        test_traces, test_labels = _take(traces, test_items)
-        predicted, _ = _predict_labels(model, test_traces)
-        accuracy = float(np.mean([p == label
-                                  for p, label in zip(predicted, test_labels)]))
-        results.append((float(rate), accuracy))
-    return results
+    return [(float(rate), float(np.mean(
+        _train_test(cfg, by_rate[rate], labels, class_ids).hits)))
+        for rate in cfg.rates]
 
 
 @dataclass(eq=False)
@@ -430,7 +424,9 @@ def _detect_in_streams(cfg: ExperimentConfig,
                        core: _ClosedWorldBundle) -> ContinuousResult:
     """Stream stage of :func:`run_continuous`, given its closed world."""
     rate = cfg.rate_hz
-    target = core.class_ids[0]
+    device = cfg.resolved_profiles()[0]
+    class_ids = _class_ids("class", cfg.class_count)
+    target = class_ids[0]
 
     target_train = [core.traces[i] for i, label in core.train_items
                     if label == target]
@@ -444,12 +440,12 @@ def _detect_in_streams(cfg: ExperimentConfig,
 
     signatures = {class_id: make_class_signature(class_id, cfg.duration_s, rate,
                                                  cfg.seed)
-                  for class_id in core.class_ids}
+                  for class_id in class_ids}
     tp = fp = fn = 0
     label_hits: list[bool] = []
     for s in range(cfg.stream_count):
         rng = np.random.default_rng(_child_seed(cfg.seed, "stream", s))
-        others = [c for c in core.class_ids if c != target]
+        others = class_ids[1:]
         picks = [others[int(i)] for i in
                  rng.choice(len(others), size=cfg.distractor_count, replace=False)]
         embeds = [target] + picks
@@ -465,7 +461,7 @@ def _detect_in_streams(cfg: ExperimentConfig,
                 background_drift=cfg.background_drift)
             cpu[offset:offset + len(pat)] += pat.values
         stream_cpu = CpuPattern(np.clip(cpu, 0.0, 1.0), rate)
-        rec = render_recording(stream_cpu, core.profiles[0],
+        rec = render_recording(stream_cpu, device,
                                seed=_child_seed(cfg.seed, "stream-render", s))
         stream = preprocess_recording(rec)
 
@@ -534,54 +530,47 @@ def run_movement(cfg: ExperimentConfig) -> MovementResult:
     with the rejected fraction.
     """
     core = _closed_world_core(cfg)
+    profiles = cfg.resolved_profiles()
     rate = cfg.rate_hz
     n_test = len(core.test_items)
     n_motion = int(round(cfg.motion_fraction * n_test))
     rng = np.random.default_rng(_child_seed(cfg.seed, "movemix"))
-    motion_slots = set(int(i) for i in
-                       rng.choice(n_test, size=n_motion, replace=False))
+    motion_mask = np.zeros(n_test, dtype=bool)
+    motion_mask[rng.choice(n_test, size=n_motion, replace=False)] = True
 
-    # Re-render the stationary test recordings; the motion slots get
-    # rotation pulses on the same CPU pattern.
-    test_recs: list[SensorRecording] = []
+    # Re-render the stationary test recordings, the motion slots with rotation
+    # pulses on the same CPU pattern; flag each by its gyroscope, then drop it.
     test_traces, test_labels = _take(core.traces, core.test_items)
+    flagged = np.zeros(n_test, dtype=bool)
     for slot, (idx, label) in enumerate(core.test_items):
         j = idx % cfg.traces_per_class  # items are rendered class by class
         pattern, rec = _render_item(
-            cfg, "cw", label, j, profiles=core.profiles,
+            cfg, "cw", label, j, profiles=profiles,
             signature=make_class_signature(label, cfg.duration_s, rate, cfg.seed))
-        if slot in motion_slots:
+        if motion_mask[slot]:
             script = random_motion_script(
                 len(rec), rate, _child_seed(cfg.seed, "motion", slot),
                 peak_rate_rad_s=(cfg.motion_peak_rate, cfg.motion_peak_rate * 1.5))
             rec = render_recording(
-                pattern, core.profiles[j % len(core.profiles)], motion=script,
+                pattern, profiles[j % len(profiles)], motion=script,
                 seed=_child_seed(cfg.seed, "motion-render", slot), label=label)
             test_traces[slot] = preprocess_recording(rec)
-        test_recs.append(rec)
+        flagged[slot] = is_disturbed(motion_metrics(rec.gyro), cfg.motion_thresholds)
 
     predicted, _ = _predict_labels(core.model, test_traces)
     correct = np.asarray([p == label for p, label in zip(predicted, test_labels)])
-
-    result = filter_dataset(test_recs, cfg.motion_thresholds)
-    kept_ids = {id(r) for r in result.kept}
-    kept_mask = np.asarray([id(r) in kept_ids for r in test_recs])
-
-    motion_mask = np.asarray([slot in motion_slots for slot in range(n_test)])
-    flagged = ~kept_mask
-    motion_flagged = (float(flagged[motion_mask].mean())
-                      if motion_mask.any() else 0.0)
-    stationary_flagged = (float(flagged[~motion_mask].mean())
-                          if (~motion_mask).any() else 0.0)
-    filtered_accuracy = (float(correct[kept_mask].mean())
-                         if kept_mask.any() else 0.0)
     return MovementResult(
         accuracy_unfiltered=float(correct.mean()),
-        rejected_fraction=result.rejected_fraction,
-        accuracy_filtered=filtered_accuracy,
-        motion_flagged_fraction=motion_flagged,
-        stationary_flagged_fraction=stationary_flagged,
+        rejected_fraction=float(flagged.mean()),
+        accuracy_filtered=_mean_over(correct, ~flagged),
+        motion_flagged_fraction=_mean_over(flagged, motion_mask),
+        stationary_flagged_fraction=_mean_over(flagged, ~motion_mask),
     )
+
+
+def _mean_over(values: np.ndarray, mask: np.ndarray) -> float:
+    """Mean of the masked ``values``, or 0.0 when the mask selects nothing."""
+    return float(values[mask].mean()) if mask.any() else 0.0
 
 
 def run_snr_calibration(cfg: ExperimentConfig) -> list[dict]:

@@ -662,9 +662,9 @@ def load_model(path) -> ForestModel:
     keys = TreeView._fields
     trees = obj.get("trees")
     if type(trees) is not list or not all(
-            type(tree) is dict and all(type(tree.get(key)) is list for key in keys)
-            for tree in trees):
-        raise ValueError("trees must be a list of objects holding list node arrays")
+            type(tree) is dict and tree.keys() == set(keys)
+            and all(type(tree[key]) is list for key in keys) for tree in trees):
+        raise ValueError(f"trees must be a list of objects of just the arrays {keys}")
     sizes = np.array([len(tree["feature"]) for tree in trees], dtype=np.intp)
     if not all(n and all(len(tree[key]) == n for key in keys)
                for tree, n in zip(trees, sizes)):

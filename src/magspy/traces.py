@@ -287,13 +287,6 @@ def _sample_array(values, name: str) -> np.ndarray:
     return flat.reshape(-1, 3)
 
 
-def _recording_from_obj(obj) -> SensorRecording:
-    return _from_dict(SensorRecording, obj, "recording",
-                      mag=lambda mag: _sample_array(mag, "mag"),
-                      gyro=lambda gyro: None if gyro is None
-                      else _sample_array(gyro, "gyro"))
-
-
 def save_recordings(recordings: Sequence[SensorRecording], path) -> None:
     """Write recordings as JSON Lines. Output bytes are a pure function of the input."""
     lines = [
@@ -304,24 +297,27 @@ def save_recordings(recordings: Sequence[SensorRecording], path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def load_recordings(path) -> list[SensorRecording]:
-    """Read a JSON Lines recording file, rejecting the whole file on any bad line.
+def _json_lines(path, read):
+    """``read(obj)`` of each non-blank line of the JSON Lines file ``path``, in order.
 
-    The file is read one line at a time, and lines end at ``\\n`` only:
-    strings may hold any other line separator, such as U+2028.
+    Lines are read one at a time and end at ``\\n`` only, so strings may hold
+    other line separators, such as U+2028. Every error names the file and line.
     """
-    p = Path(path)
-    out: list[SensorRecording] = []
-    with p.open(encoding="utf-8", newline="\n") as lines:
+    with Path(path).open(encoding="utf-8", newline="\n") as lines:
         for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{p}: line {lineno}: invalid JSON ({exc.msg})") from exc
-            try:
-                out.append(_recording_from_obj(obj))
-            except ValueError as exc:
-                raise ValueError(f"{p}: line {lineno}: {exc}") from exc
-    return out
+                item = read(json.loads(line))
+            except (ValueError, OverflowError) as exc:
+                why = (f"invalid JSON ({exc.msg})"
+                       if isinstance(exc, json.JSONDecodeError) else exc)
+                raise ValueError(f"{path}: line {lineno}: {why}") from exc
+            yield item
+
+
+def load_recordings(path) -> list[SensorRecording]:
+    """Read a JSON Lines recording file, rejecting the whole file on any bad line."""
+    return list(_json_lines(path, lambda obj: _from_dict(
+        SensorRecording, obj, "recording", mag=lambda mag: _sample_array(mag, "mag"),
+        gyro=lambda gyro: None if gyro is None else _sample_array(gyro, "gyro"))))

@@ -341,6 +341,7 @@ MALFORMED_TREES = {
                                      [1, -1, -1], [2, -1, -1],
                                      [None, [1, 0], [0, 1]]),
     "counts-width": tree_doc([-1], [None], [-1], [-1], [[1, 0, 0]]),
+    "unknown-key": {**tree_doc([-1], [None], [-1], [-1], [[1, 0]]), "bogus": 1},
 }
 
 

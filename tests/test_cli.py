@@ -123,7 +123,7 @@ class TestSimulateTrainClassify:
         assert (out_dir / "predictions.jsonl").read_text() == ""
         assert not (out_dir / "report.json").exists()
 
-    @pytest.mark.parametrize("name", ["self-loop", "shared-child"])
+    @pytest.mark.parametrize("name", ["self-loop", "shared-child", "unknown-key"])
     def test_classify_rejects_malformed_model(self, tmp_path, capsys, name):
         model = write_model_doc(tmp_path / "model.json", MALFORMED_TREES[name])
         data = tmp_path / "data.jsonl"
@@ -375,6 +375,33 @@ class TestDetectCommand:
         assert rc == 1
         assert "stream must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"time_s": 10.0, "label": "x", "bogus": 1}\n', "unknown truth line fields"),
+        ('{"time_s": 10.0, "label": 7}\n', "label must be a string"),
+        ('{"time_s": 10.0, "label": null}\n', "label must be a string"),
+        ('{"label": "x"}\n', "time_s"),
+        ('{"time_s": true}\n', "time_s must be a number"),
+        ('{"time_s": NaN}\n', "time_s must be finite"),
+        ('{"time_s": 1e308}\n', "line 1: "),
+        ("[1]\n", "truth line must be a JSON object"),
+        ('{"time_s": 1.0}\n\n{"time_s": 2.0,\n', "line 3: invalid JSON"),
+    ], ids=["unknown-key", "integer-label", "null-label", "missing-time",
+            "bool-time", "nan-time", "overflowing-time", "list-line", "bad-json"])
+    def test_detect_rejects_malformed_truth_line(self, tmp_path, capsys, text,
+                                                 message):
+        # Truth lines are typed like every other document: the error names
+        # the file and line, and nothing is written.
+        data, ppath = self._event_streams(tmp_path, [1000, 1000])
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text(text, encoding="utf-8")
+        out_dir = tmp_path / "det"
+        assert main(["detect", "--pattern", str(ppath), "--data", str(data),
+                     "--min-height", "8", "--min-prominence", "4",
+                     "--truth", str(truth), "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert f"magspy: error: {truth}: line " in err and message in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("flag", ["--min-height", "--min-prominence",
                                       "--tolerance-s"])
     def test_detect_rejects_non_finite_threshold(self, tmp_path, capsys, flag):
@@ -499,6 +526,37 @@ class TestEvalCommand:
         gain = payload["config"]["device_profiles"][0]["gain"]
         assert gain == pytest.approx(10 ** 0.75)
 
+    @pytest.mark.parametrize("command, scenario", [
+        ("eval", "sweep"), ("sweep", None), ("eval", "continuous"),
+        ("eval", "movement")])
+    def test_device_profile_at_another_rate_rejected(self, tmp_path, capsys,
+                                                     monkeypatch, command, scenario):
+        # These scenarios index samples at the config's rate_hz, so a 50 Hz
+        # device under a 100 Hz config fails before anything is rendered.
+        def render(*args, **kwargs):
+            raise AssertionError("rendered before the profile rate was checked")
+
+        monkeypatch.setattr("magspy.experiments.render_recording", render)
+        config = write_config(tmp_path, **({"scenario": scenario} if scenario else {}))
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"snr_db": 15.0, "rate_hz": 50.0}))
+        out_dir = tmp_path / "run"
+        assert main([command, "--config", config, "--out", str(out_dir),
+                     "--device-profile", str(profile)]) == 1
+        err = capsys.readouterr().err
+        assert "magspy: error:" in err and "100.0" in err and "50.0" in err
+        assert not out_dir.exists()
+
+    def test_closed_world_resamples_a_profile_at_another_rate(self, tmp_path, capsys):
+        config = write_config(tmp_path, class_count=2, traces_per_class=4)
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"snr_db": 15.0, "rate_hz": 50.0}))
+        out_dir = tmp_path / "run"
+        assert main(["eval", "--config", config, "--out", str(out_dir),
+                     "--device-profile", str(profile)]) == 0
+        payload = json.loads((out_dir / "report.json").read_text())
+        assert payload["config"]["device_profiles"][0]["rate_hz"] == 50.0
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("kind, doc", [
@@ -532,12 +590,28 @@ class TestExitCodes:
         ("motion-script", '{"rotation_events": [{"start_index": 50, '
          '"duration_samples": 100, "peak_rate_rad_s": 2.0, "axis": [0, 0, 1], '
          '"bogus": 1}]}'),
+        ("config", '{"forest": false}'),
+        ("config", '{"grid": 0}'),
+        ("config", '{"grid": ""}'),
+        ("config", '{"motion_thresholds": ""}'),
+        ("config", '{"device_profiles": false}'),
+        ("config", '{"device_profiles": ""}'),
+        ("config", '{"scenario": "sweep", "device_profiles": '
+         '[{"snr_db": 12.0, "rate_hz": 50.0}]}'),
+        ("config", '{"scenario": "continuous", "rate_hz": 50.0, '
+         '"device_profiles": [{"snr_db": 12.0}]}'),
+        ("config", '{"scenario": "movement", "device_profiles": '
+         '[{"snr_db": 12.0}, {"snr_db": 12.0, "rate_hz": 200.0}]}'),
     ], ids=["nan-peak-rate", "fractional-start-index", "bool-start-index",
             "bool-duration", "bool-peak-rate", "nan-axis", "string-gain",
             "nan-noise-std", "bool-gain", "nan-coupling-dir", "inf-baseline-field",
             "string-class-count", "list-config", "string-config", "list-profile",
             "string-profile", "snr-and-gain", "bool-snr", "list-script",
-            "string-script", "unknown-script-key", "unknown-event-key"])
+            "string-script", "unknown-script-key", "unknown-event-key",
+            "false-forest", "zero-grid", "empty-string-grid",
+            "empty-string-thresholds", "false-profiles", "empty-string-profiles",
+            "sweep-profile-rate", "continuous-profile-rate",
+            "movement-profile-rate"])
     def test_bad_outside_document_is_validation_error(self, tmp_path, capsys,
                                                       monkeypatch, kind, doc):
         # Every document is read and checked before the first recording.

@@ -60,13 +60,22 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict({"forest": {"n_estimators": 5, "bogus": 1}})
 
     def test_empty_nested_documents_keep_defaults(self):
-        cfg = ExperimentConfig.from_dict({"forest": None, "device_profiles": [],
-                                          "grid": None, "motion_thresholds": None})
+        # Only null, {} and [] keep defaults; false, 0 and "" are rejected
+        # (test_cli's test_bad_outside_document_is_validation_error).
         default = ExperimentConfig()
-        assert cfg.forest == default.forest
-        assert cfg.device_profiles is None and cfg.grid is None
-        assert cfg.motion_thresholds == default.motion_thresholds
-        assert cfg.to_dict() == default.to_dict()
+        for doc in ({"forest": None, "device_profiles": [], "grid": None,
+                     "motion_thresholds": None},
+                    {"forest": {}, "device_profiles": None, "grid": [],
+                     "motion_thresholds": {}}):
+            cfg = ExperimentConfig.from_dict(doc)
+            assert cfg.forest == default.forest
+            assert cfg.device_profiles is None and cfg.grid is None
+            assert cfg.motion_thresholds == default.motion_thresholds
+            assert cfg.to_dict() == default.to_dict()
+        for doc in ({"forest": False}, {"grid": 0}, {"grid": ""},
+                    {"motion_thresholds": ""}, {"device_profiles": False}):
+            with pytest.raises(ValueError, match=next(iter(doc))):
+                ExperimentConfig.from_dict(doc)
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):
@@ -328,13 +337,22 @@ class TestMovement:
                            device_profiles=(profile_for_snr(12.0),
                                             profile_for_snr(15.0)))
         seen = []
-        original = experiments.filter_dataset
-        monkeypatch.setattr(experiments, "filter_dataset",
-                            lambda recs, th: seen.extend(recs) or original(recs, th))
+        original = experiments._render_item
+
+        def render(*args, **kwargs):
+            pattern, rec = original(*args, **kwargs)
+            seen.append(rec)
+            return pattern, rec
+
+        monkeypatch.setattr(experiments, "_render_item", render)
         run_movement(cfg)
+        monkeypatch.undo()
         core = _closed_world_core(cfg)
-        assert len(seen) == len(core.test_items)
-        for rec, (idx, label) in zip(seen, core.test_items):
+        # The closed world renders every item, then the test items are
+        # re-rendered in test order.
+        rendered = cfg.class_count * cfg.traces_per_class
+        assert len(seen) == rendered + len(core.test_items)
+        for rec, (idx, label) in zip(seen[rendered:], core.test_items):
             assert (rec.label, rec.device_id) == (label, f"device-{idx % 10 % 2}")
             assert np.array_equal(preprocess_recording(rec).values,
                                   core.traces[idx].values)

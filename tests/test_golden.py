@@ -2,10 +2,10 @@
 
 Speed-ups to training, featurizing or detection must leave every output
 byte where it was. These digests pin three trained models, also after a
-load and a save, two ``magspy eval`` reports, and the outputs of one
-``simulate -> train -> classify -> detect`` run at small scale. A change
-that moves an output on purpose updates the digest here and says why in
-the same change.
+load and a save, ``magspy eval`` reports of every scenario, and the
+outputs of one ``simulate -> train -> classify -> detect`` run at small
+scale. A change that moves an output on purpose updates the digest here and
+says why in the same change.
 """
 
 import hashlib
@@ -63,6 +63,8 @@ def test_model_round_trip_bytes(tmp_path, closed_world, config, digest):
 
 _SMALL_WORLD = {"class_count": 5, "traces_per_class": 12, "duration_s": 6.0,
                 "forest": {"n_estimators": 60}}
+_GRID = [{"n_estimators": 20, "max_depth": 5},
+         {"n_estimators": 30, "max_features": "sqrt"}]
 
 
 @pytest.mark.parametrize("doc, digest", [
@@ -81,8 +83,18 @@ _SMALL_WORLD = {"class_count": 5, "traces_per_class": 12, "duration_s": 6.0,
     ({**_SMALL_WORLD, "scenario": "open-world", "monitored_count": 3,
       "unmonitored_train_count": 4, "background_count": 10},
      "72c426e832fdacaf916cd90133879b72597d6d4de0f3c8436f227c45990c1097"),
+    ({**_SMALL_WORLD, "device_profiles": [{"snr_db": 12.0}, {"snr_db": 15.0}]},
+     "9e9b2e2719b3ef694b2d1a663ab5774d734919b69427fb7d552cac39ac41ba0f"),
+    ({**_SMALL_WORLD, "scenario": "snr"},
+     "e075959fb387c0ae4049b7b405ebdba909dec8a2c184218c4108d98c89c101f8"),
+    ({**_SMALL_WORLD, "grid": _GRID},
+     "ba9a4c105dcdad4b6faf93159c3b1b059f70d3fbf599c64025ca9424348cf717"),
+    ({**_SMALL_WORLD, "scenario": "open-world", "monitored_count": 3,
+      "unmonitored_train_count": 4, "background_count": 10, "grid": _GRID},
+     "a1e5844fb044a53186e876b3f0c9c25b0429949b4d96827628539f770775e955"),
 ], ids=["closed-world", "continuous", "movement", "movement-two-devices", "sweep",
-        "open-world"])
+        "open-world", "closed-world-two-devices", "snr", "closed-world-grid",
+        "open-world-grid"])
 def test_eval_report_bytes(tmp_path, capsys, doc, digest):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from magspy.cli import _read_truth
 from magspy.detect import ActivityPattern, CorrelationSeries, load_pattern
 from magspy.experiments import ExperimentConfig
 from magspy.forest import ForestConfig
@@ -301,6 +302,8 @@ DOCUMENT_READERS = {
         "device_id": "d", "label": "a", "rate_hz": 100.0,
         "mag": [[1.0, 2.0, 3.0], [4, 5, 6]], "gyro": [[0.0, 0.0, 0.0], [0.1, 0, 0]],
         "meta": {"k": "v"}}),
+    "truth-line": (_read_file(lambda path: _read_truth(path, [100.0, 50.0])),
+                   {"time_s": 10.0, "label": "a", "stream": 1}),
 }
 
 # Stand-ins for a value: bools, strings, null, lists and objects, and numbers
