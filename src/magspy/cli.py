@@ -22,7 +22,7 @@ from .metrics import evaluate, format_report_text
 from .preprocess import preprocess_recording
 from .simulate import load_device_profile, load_motion_script, render_recording
 from .traces import (_check_count, _check_real, _from_dict, _json_lines,
-                     _json_object, load_recordings, save_recordings)
+                     _json_object, _read_recordings, save_recordings)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,11 +67,21 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _read_traces(path, rate) -> tuple[list, list, list]:
+    """(traces, device ids, labels) of the recordings in ``path``. Each
+    recording is reduced as soon as it is read, then dropped."""
+    traces, device_ids, labels = [], [], []
+    for rec in _read_recordings(path):
+        traces.append(preprocess_recording(rec, rate))
+        device_ids.append(rec.device_id)
+        labels.append(rec.label)
+    return traces, device_ids, labels
+
+
 def _cmd_train(args) -> int:
     if not args.out:
         raise ValueError("train requires --out")
-    recordings = load_recordings(args.data)
-    labels = [rec.label for rec in recordings]
+    traces, _, labels = _read_traces(args.data, args.rate)
     if None in labels:
         raise ValueError("training recordings must all carry labels")
     class_names = tuple(dict.fromkeys(labels))
@@ -79,7 +89,6 @@ def _cmd_train(args) -> int:
         if any(sep and sep in label for sep in ("/", os.sep, os.altsep, "\0")):
             raise ValueError(f"label {label!r} cannot be part of a file name")
     cfg = _load_config(args.config, args.seed, None)
-    traces = [preprocess_recording(rec, args.rate) for rec in recordings]
     patterns = [_detect.average_pattern(
         [t for t, t_label in zip(traces, labels) if t_label == label], label)
         for label in sorted(class_names)]
@@ -95,20 +104,19 @@ def _cmd_train(args) -> int:
 
 def _cmd_classify(args) -> int:
     model = load_model(args.model)
-    recordings = load_recordings(args.data)
-    traces = [preprocess_recording(rec, args.rate) for rec in recordings]
+    traces, device_ids, labels = _read_traces(args.data, args.rate)
     predicted, probability = _predict_labels(model, traces)
     lines = []
     pairs = []
-    for rec, label, prob in zip(recordings, predicted, probability):
+    for device_id, truth, label, prob in zip(device_ids, labels, predicted, probability):
         lines.append(json.dumps({
-            "device_id": rec.device_id,
-            "label": rec.label,
+            "device_id": device_id,
+            "label": truth,
             "predicted": label,
             "probability": prob,
         }, separators=(",", ":")))
-        if rec.label is not None:
-            pairs.append((rec.label, label))
+        if truth is not None:
+            pairs.append((truth, label))
     output = "".join(line + "\n" for line in lines)
     if args.out:
         out = Path(args.out)
@@ -155,16 +163,15 @@ def _read_truth(path, rates) -> list[list[tuple[int, str]]]:
 
 def _cmd_detect(args) -> int:
     pattern = _detect.load_pattern(args.pattern)
-    recordings = load_recordings(args.data)
     model = load_model(args.model) if args.model else None
     thresholds = _detect.PeakThresholds(args.min_height, args.min_prominence,
                                         args.min_width)
-    truth = (_read_truth(args.truth, [rec.rate_hz for rec in recordings])
+    streams, _, _ = _read_traces(args.data, None)
+    truth = (_read_truth(args.truth, [stream.rate_hz for stream in streams])
              if args.truth else None)
     lines = []
     per_stream = []
-    for index, rec in enumerate(recordings):
-        stream = preprocess_recording(rec)
+    for index, stream in enumerate(streams):
         series = _detect.cross_correlate(stream, pattern)
         if model is not None:
             detections = _detect.detect_and_classify(stream, series, thresholds,
@@ -185,8 +192,9 @@ def _cmd_detect(args) -> int:
     output = "".join(line + "\n" for line in lines)
     scores = None
     if truth is not None:
-        counts = [_detect.score_detections(dets, events, args.tolerance_s, rec.rate_hz)
-                  for dets, events, rec in zip(per_stream, truth, recordings)]
+        counts = [_detect.score_detections(dets, events, args.tolerance_s,
+                                           stream.rate_hz)
+                  for dets, events, stream in zip(per_stream, truth, streams)]
         scores = {name: sum(getattr(c, name) for c in counts)
                   for name in ("tp", "fp", "fn")}
     if args.out:

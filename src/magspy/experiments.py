@@ -139,10 +139,10 @@ class ExperimentConfig:
             _check_real("gains", gain, 0.0)
         if self.scenario == "open-world" and self.monitored_count > self.class_count:
             raise ValueError("monitored_count cannot exceed class_count")
-        other_rates = {p.rate_hz for p in self.device_profiles or ()} - {self.rate_hz}
-        if other_rates and self.scenario in ("sweep", "continuous", "movement"):
-            raise ValueError(f"{self.scenario} needs device profiles at rate_hz "
-                             f"{self.rate_hz}, not {min(other_rates)}")
+        # These runners check it again as they start, for library calls; here
+        # it fails such a config before simulate or train render anything.
+        if self.scenario in ("sweep", "continuous", "movement"):
+            _check_device_rate(self, self.scenario)
 
     def resolved_profiles(self) -> tuple[DeviceProfile, ...]:
         if self.device_profiles:
@@ -364,6 +364,15 @@ def run_open_world(cfg: ExperimentConfig) -> EvalReport:
     return report
 
 
+def _check_device_rate(cfg: ExperimentConfig, scenario: str) -> None:
+    """Reject device profiles whose rate is not ``cfg.rate_hz``: ``scenario``
+    indexes samples at that rate."""
+    other_rates = {p.rate_hz for p in cfg.resolved_profiles()} - {cfg.rate_hz}
+    if other_rates:
+        raise ValueError(f"{scenario} needs device profiles at rate_hz "
+                         f"{cfg.rate_hz}, not {min(other_rates)}")
+
+
 def run_sampling_sweep(cfg: ExperimentConfig) -> list[tuple[float, float]]:
     """Closed-world accuracy at each ``cfg.rates`` entry, sharing recordings and split.
 
@@ -373,6 +382,7 @@ def run_sampling_sweep(cfg: ExperimentConfig) -> list[tuple[float, float]]:
     the device rate it is not resampled. ``_split`` is seeded, so every rate
     trains and tests on the same items.
     """
+    _check_device_rate(cfg, "sweep")
     if any(rate > cfg.rate_hz for rate in cfg.rates):
         raise ValueError("sweep rates cannot exceed the device rate")
     class_ids = _class_ids("class", cfg.class_count)
@@ -417,6 +427,7 @@ def run_continuous(cfg: ExperimentConfig) -> ContinuousResult:
     0.05 s), scored against the true offset with the configured tolerance,
     and classified with the closed-world model.
     """
+    _check_device_rate(cfg, "continuous")
     return _detect_in_streams(cfg, _closed_world_core(cfg))
 
 
@@ -529,6 +540,7 @@ def run_movement(cfg: ExperimentConfig) -> MovementResult:
     pulses; accuracy is reported before filtering, after filtering, along
     with the rejected fraction.
     """
+    _check_device_rate(cfg, "movement")
     core = _closed_world_core(cfg)
     profiles = cfg.resolved_profiles()
     rate = cfg.rate_hz

@@ -6,12 +6,17 @@ feature subset by scanning midpoints between consecutive distinct sorted
 values; leaves keep class-count histograms, and prediction averages the
 normalized leaf histograms across trees.
 
+A tree holds only the distinct rows of its bootstrap draw (about 63% of
+them), each weighted by how often it was drawn. The weights enter the class
+histograms, the split search and the leaf counts as integers, so every
+count is the one the repeated rows give.
+
 All trees of a forest grow side by side. Each tree keeps its own
 depth-first stack, and one growth step pops the top node of every
 unfinished tree, so a step holds at most one node per tree. The step's
 class histograms, split searches and partitions into children run as a
 few array operations over all of its nodes, in batches of about 2^15
-(sample, candidate feature) elements. The split search sorts every
+(row, candidate feature) elements. The split search sorts every
 (node, candidate) segment with one integer sort, and the sums of squared
 class counts on either side of every cut are integer running sums, exact
 far below 2^53, so each Gini decrease is the same float, bit for bit, as a
@@ -28,8 +33,11 @@ reads the table back as per-tree views, which is what ``save_model`` writes.
 Determinism contract: training canonicalizes the input order by
 (label, feature values), per-tree random streams are derived up front from
 the config seed, and within a tree all draws happen in pre-order node
-creation order. Models are therefore bit-identical across runs and input
-permutations (without bootstrap).
+creation order: after the bootstrap draw, node after node takes the
+candidate set ``Generator.choice(d, k, replace=False)`` would draw next,
+computed a block of nodes at a time from the stream's raw words (see
+:func:`_choice_sets`). Models are therefore bit-identical across runs and
+input permutations (without bootstrap).
 """
 
 from __future__ import annotations
@@ -201,7 +209,7 @@ def _subset_size(rule: str, n_features: int) -> int:
     return min(n_features, max(1, math.ceil(math.sqrt(n_features))))
 
 
-#: About how many (sample, candidate feature) elements one batch of nodes
+#: About how many (row, candidate feature) elements one batch of nodes
 #: spans in a growth step, a larger node making a batch of its own, and
 #: about how many (row, tree) pairs one block of predict_many walks.
 _BATCH_ELEMENTS = 1 << 15
@@ -216,20 +224,21 @@ def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 class _SplitSearch:
     """Best (feature, threshold, decrease) of a batch of nodes in one segmented pass.
 
-    A segment is one node's samples under one of its candidate features.
-    One integer sort orders every segment of the batch at once, on keys
-    ``segment | dense rank | row``; the ranks are taken once per forest, so
-    equal values tie exactly, and thresholds still come from the values. A
-    second sort, on ``segment * C + class | slot``, gives each sample's rank
-    among the samples of its class in its segment. Walking a sorted
-    segment, the r-th sample of class c to pass from the right side to the
-    left raises the left sum of squared class counts by 2r + 1 and changes
-    the right one by 1 - 2(h_c - r), so both sums are a global integer
-    ``cumsum`` less the segment's base. They never exceed n^2 < 2^53, so
-    every Gini decrease is the float, bit for bit, that a per-feature scan
-    over class-count prefixes computes with the same expression. Ties keep
-    the first candidate in ascending feature order and, within a feature,
-    the lowest threshold.
+    A node holds distinct rows, each standing for ``w`` copies of its
+    sample. A segment is one node's rows under one of its candidate
+    features. One integer sort orders every segment of the batch at once, on
+    keys ``segment | dense rank | row``; the ranks are taken once per forest,
+    so equal values tie exactly, and thresholds still come from the values. A
+    second sort, on ``segment * C + class | slot``, lists each class's rows
+    of a segment in sorted order. Walking a sorted segment, a row of class c
+    whose w copies pass from the right side to the left, after r samples of
+    its class, raises the left sum of squared class counts by w(2r + w) and
+    changes the right one by w(w - 2(h_c - r)), so both sums are a global
+    integer ``cumsum`` less the segment's base. They never exceed n^2 < 2^53,
+    so every Gini decrease is the float, bit for bit, that a per-feature scan
+    over the class-count prefixes of the repeated rows computes with the same
+    expression. Ties keep the first candidate in ascending feature order and,
+    within a feature, the lowest threshold.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, n_classes: int):
@@ -241,13 +250,14 @@ class _SplitSearch:
             self.ranks[:, j] = np.unique(column, return_inverse=True)[1]
         self.rank_bits = int(self.ranks.max()).bit_length()
 
-    def __call__(self, rows: np.ndarray, sizes: np.ndarray, cand: np.ndarray,
-                 hist: np.ndarray):
+    def __call__(self, rows: np.ndarray, weight: np.ndarray, sizes: np.ndarray,
+                 cand: np.ndarray, hist: np.ndarray):
         """(nodes with a cut, their feature, threshold and Gini decrease).
 
-        Node j has ``sizes[j] >= 2`` samples, the next ``sizes[j]`` entries
-        of ``rows``, the ascending candidate features ``cand[j]`` and the
-        integer class histogram ``hist[j]``.
+        Node j holds the next ``sizes[j]`` entries of ``rows``, distinct rows
+        that stand for ``weight`` copies each, the ascending candidate
+        features ``cand[j]`` and the integer class histogram ``hist[j]`` of
+        the copies.
         """
         m, k = cand.shape
         n_classes = self.n_classes
@@ -265,26 +275,35 @@ class _SplitSearch:
         at = keys & ((1 << row_bits) - 1)  # batch row of each sorted slot
         keys >>= row_bits  # segment << rank_bits | rank
         seg = keys >> self.rank_bits
+        w = weight[at]
         group = seg * n_classes + self.y[rows][at]
         slot_bits = int(n_slots - 1).bit_length()
         by_class = np.sort(group << slot_bits | np.arange(n_slots))
-        seg_sizes = np.repeat(sizes, k)
-        seg_start = np.cumsum(seg_sizes) - seg_sizes
+        total = hist.sum(axis=1)
+        # Each segment's and each (segment, class) group's first sample, in
+        # samples counted over all segments.
         seg_hist = np.repeat(hist, k, axis=0)
-        group_start = seg_start[:, None] + np.cumsum(seg_hist, axis=1) - seg_hist
-        within = np.arange(n_slots) - np.repeat(group_start.ravel(), seg_hist.ravel())
+        seg_total = np.repeat(total, k)
+        seg_first = np.cumsum(seg_total) - seg_total
+        group_first = seg_first[:, None] + np.cumsum(seg_hist, axis=1) - seg_hist
+        slot = by_class & ((1 << slot_bits) - 1)
+        w_by_class = w[slot]
+        before = (np.cumsum(w_by_class) - w_by_class
+                  - group_first.ravel()[by_class >> slot_bits])
         step = np.empty(n_slots, dtype=np.int64)
-        step[by_class & ((1 << slot_bits) - 1)] = 2 * within + 1
+        step[slot] = w_by_class * (2 * before + w_by_class)
         sq_sum = (hist * hist).sum(axis=1)
         sq_left = np.cumsum(step)
-        sq_right = np.cumsum(step - 2 * seg_hist.ravel()[group])
+        sq_right = np.cumsum(step - 2 * w * seg_hist.ravel()[group])
+        seg_sizes = np.repeat(sizes, k)
+        seg_start = np.cumsum(seg_sizes) - seg_sizes
         last = seg_start + seg_sizes - 1
         sq_left -= np.r_[0, sq_left[last[:-1]]][seg]
         sq_right -= (np.r_[0, sq_right[last[:-1]]] - np.repeat(sq_sum, k))[seg]
-        n = sizes.astype(np.float64)
+        n = total.astype(np.float64)
         gini_parent = 1.0 - sq_sum / (n * n)
-        n_left = (np.arange(1, n_slots + 1) - seg_start[seg]).astype(np.float64)
-        n = np.repeat(n, k)[seg]
+        n_left = (np.cumsum(w) - seg_first[seg]).astype(np.float64)
+        n = seg_total.astype(np.float64)[seg]
         n_right = n - n_left
         with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at segment ends
             gini_left = 1.0 - sq_left / (n_left * n_left)
@@ -305,15 +324,108 @@ class _SplitSearch:
         return found, feature, threshold, best[found]
 
 
-def _partition(x, slots, rows, starts, sizes, feature, threshold) -> np.ndarray:
+#: How many nodes' candidate feature sets a tree draws at a time.
+_DRAW_BLOCK = 64
+
+_LOW_HALF = np.uint64(0xFFFFFFFF)
+
+
+def _choice_sets(halves: np.ndarray, d: int, k: int, calls: int):
+    """The sets of up to ``calls`` ``Generator.choice(d, k, replace=False)``
+    calls, drawn from the generator's next 32-bit words ``halves`` (uint64).
+
+    For 0 < k < d (so every draw reads a word), ``choice`` runs Floyd's
+    algorithm unless d > 10000 and k > d // 50, which neither the "log2"
+    nor the "sqrt" rule reaches: for j = d - k ... d - 1 it draws v below
+    j + 1 and takes v, or j if v is taken already. It then shuffles the k
+    values with k - 1 draws below k ... 2, which only consume words here:
+    callers sort each set. Every draw is Lemire's: the high word of
+    u * bound, rejecting u while ``(u * bound) mod 2^32 < 2^32 mod bound``.
+    Returns the sorted sets, one row per call, and how many words they use.
+    """
+    bound = np.r_[d - k + 1:d + 1, k:1:-1].astype(np.uint64)
+    limit = np.uint64(1 << 32) % bound
+    period = bound.size
+    draws, used = [], []
+    at = phase = 0
+    while at < halves.size:
+        cycle = (phase + np.arange(halves.size - at)) % period
+        scaled = halves[at:] * bound[cycle]
+        rejected = np.flatnonzero((scaled & _LOW_HALF) < limit[cycle])
+        stop = rejected[0] if rejected.size else scaled.size
+        draws.append(scaled[:stop] >> np.uint64(32))
+        used.append(np.arange(at, at + stop))
+        phase = (phase + stop) % period
+        at += stop + 1
+    draws = np.concatenate(draws)
+    calls = min(calls, draws.size // period)
+    value = draws[:calls * period].reshape(calls, period).astype(np.intp)
+    sets = np.empty((calls, k), dtype=np.intp)
+    for i, j in enumerate(range(d - k, d)):
+        taken = (sets[:, :i] == value[:, i, None]).any(axis=1)
+        sets[:, i] = np.where(taken, j, value[:, i])
+    sets.sort(axis=1)
+    return sets, int(np.concatenate(used)[calls * period - 1]) + 1 if calls else 0
+
+
+class _CandidateDraws:
+    """Each tree's candidate feature sets, in the order its nodes ask for them.
+
+    Tree t's sets are the ones ``rngs[t].choice(d, k, replace=False)`` would
+    return call after call, sorted, computed ``_DRAW_BLOCK`` calls at a time
+    (see :func:`_choice_sets`) from the generator's raw 64-bit words. The
+    32-bit draws of ``default_rng``'s PCG64 read each word's low half, then
+    its high half, and begin with the half it holds buffered, if any.
+    """
+
+    def __init__(self, rngs: list[np.random.Generator], d: int, k: int):
+        self.d, self.k = d, k
+        self.bit_generators = [rng.bit_generator for rng in rngs]
+        self.halves = []
+        for bit_generator in self.bit_generators:
+            state = bit_generator.state
+            self.halves.append(np.array([state["uinteger"]] if state["has_uint32"] else [],
+                                        dtype=np.uint64))
+        self.sets = np.empty((len(rngs), _DRAW_BLOCK, k), dtype=np.intp)
+        self.next = np.full(len(rngs), _DRAW_BLOCK)
+
+    def __call__(self, trees: np.ndarray) -> np.ndarray:
+        """The next candidate set of each of ``trees`` (distinct tree indices)."""
+        for t in trees[self.next[trees] == _DRAW_BLOCK].tolist():
+            self._refill(t)
+        sets = self.sets[trees, self.next[trees]]
+        self.next[trees] += 1
+        return sets
+
+    def _refill(self, t: int):
+        halves, got = self.halves[t], 0
+        while got < _DRAW_BLOCK:
+            short = (_DRAW_BLOCK - got) * (2 * self.k - 1) - halves.size
+            raw = self.bit_generators[t].random_raw(max(1, (short + 1) // 2))
+            split = np.column_stack((raw & _LOW_HALF, raw >> np.uint64(32))).ravel()
+            halves = np.concatenate((halves, split))
+            sets, used = _choice_sets(halves, self.d, self.k, _DRAW_BLOCK - got)
+            self.sets[t, got:got + len(sets)] = sets
+            got += len(sets)
+            halves = halves[used:]
+        self.halves[t] = halves
+        self.next[t] = 0
+
+
+def _partition(x, slots, weight, rows, row_weight, starts, sizes, feature,
+               threshold) -> np.ndarray:
     """Stably move each split node's left-going rows to the front of its slots.
 
     The nodes own ``slots[starts[j]:starts[j] + sizes[j]]`` and hold the
-    consecutive entries of ``rows``; returns each node's left count.
+    consecutive entries of ``rows``, whose weights ``row_weight`` move with
+    them in ``weight``; returns each node's left row count.
     """
     go_right = x[rows, np.repeat(feature, sizes)] > np.repeat(threshold, sizes)
     side = np.repeat(2 * np.arange(sizes.size), sizes) + go_right
-    slots[_ranges(starts, sizes)] = rows[np.argsort(side, kind="stable")]
+    order = np.argsort(side, kind="stable")
+    at = _ranges(starts, sizes)
+    slots[at] = rows[order]
+    weight[at] = row_weight[order]
     return np.bincount(side, minlength=2 * sizes.size)[::2]
 
 
@@ -328,20 +440,27 @@ def _grow_forest(x: np.ndarray, y: np.ndarray, n_classes: int, config: ForestCon
     n_trees = len(rngs)
     k = _subset_size(config.max_features, d)
     search = _SplitSearch(x, y, n_classes)
-    # Tree t's samples fill slots [t*n, (t+1)*n). A node owns a contiguous
+    # Tree t's distinct rows fill a block of slots, in ascending order, and
+    # ``weight`` holds how often each was drawn. A node owns a contiguous
     # range of its tree's slots, and a split partitions that range in place,
     # so a finished tree's leaves tile its slots.
     if config.bootstrap:
-        slots = np.concatenate([rng.integers(0, n, size=n) for rng in rngs])
+        bags = [np.unique(rng.integers(0, n, size=n), return_counts=True) for rng in rngs]
+        slots, weight = (np.concatenate(a) for a in zip(*bags))
+        rows_per_tree = np.array([rows.size for rows, _ in bags])
+        del bags
     else:
         slots = np.tile(np.arange(n), n_trees)
-    # Per-tree depth-first stacks of (start, size, depth, parent if a right
+        weight = np.ones(slots.size, dtype=np.int64)
+        rows_per_tree = np.full(n_trees, n)
+    draws = _CandidateDraws(rngs, d, k) if k < d else None
+    # Per-tree depth-first stacks of (start, rows, depth, parent if a right
     # child else -1); a left child is always its parent's next node. The
     # right child is pushed first, so each tree creates its nodes, and makes
     # its draws, in pre-order.
     stack = np.zeros((n_trees, min(config.max_depth, n) + 2, 4), dtype=np.int64)
-    stack[:, 0, 0] = np.arange(n_trees) * n
-    stack[:, 0, 1] = n
+    stack[:, 0, 0] = np.cumsum(rows_per_tree) - rows_per_tree
+    stack[:, 0, 1] = rows_per_tree
     stack[:, 0, 3] = -1
     height = np.ones(n_trees, dtype=np.intp)
     n_nodes = np.zeros(n_trees, dtype=np.intp)
@@ -355,36 +474,39 @@ def _grow_forest(x: np.ndarray, y: np.ndarray, n_classes: int, config: ForestCon
         popped = stack[active, height[active]]
         popped_id = n_nodes[active]
         n_nodes[active] += 1
-        # A node joins the batch its first (sample, candidate) element falls in.
+        # A node joins the batch its first (row, candidate) element falls in.
         batch = (np.cumsum(popped[:, 1]) - popped[:, 1]) * k // _BATCH_ELEMENTS
         bounds = (np.flatnonzero(np.diff(batch)) + 1).tolist()
         for a, b in zip([0, *bounds], [*bounds, active.size]):
             trees, node_id = active[a:b], popped_id[a:b]
             start, size, depth, right_of = popped[a:b].T
             m = trees.size
-            rows = slots[_ranges(start, size)]
+            at = _ranges(start, size)
+            rows, row_weight = slots[at], weight[at]
             hist = np.bincount(np.repeat(np.arange(m) * n_classes, size) + y[rows],
-                               minlength=m * n_classes).reshape(m, n_classes)
+                               row_weight, minlength=m * n_classes)
+            hist = hist.astype(np.int64).reshape(m, n_classes)
             feature = np.full(m, -1)
             threshold = np.full(m, np.nan)
-            grow = (size >= 2) & (depth < config.max_depth) & (hist.max(axis=1) < size)
+            grow = (depth < config.max_depth) & (hist.max(axis=1) < hist.sum(axis=1))
             if grow.any():
                 nodes = np.flatnonzero(grow)
-                if k == d:
+                if draws is None:
                     cand = np.broadcast_to(np.arange(d), (nodes.size, d))
                 else:
-                    cand = np.array([rngs[t].choice(d, size=k, replace=False)
-                                     for t in trees[nodes].tolist()])
-                    cand.sort(axis=1)
-                found, f, thr, dec = search(rows[np.repeat(grow, size)], size[nodes],
-                                            cand, hist[nodes])
+                    cand = draws(trees[nodes])
+                rows_in = np.repeat(grow, size)
+                found, f, thr, dec = search(rows[rows_in], row_weight[rows_in],
+                                            size[nodes], cand, hist[nodes])
                 keep = dec >= config.min_impurity_decrease
                 nodes = nodes[found[keep]]
                 feature[nodes] = f[keep]
                 threshold[nodes] = thr[keep]
                 if nodes.size:
-                    n_left = _partition(x, slots, rows[np.repeat(feature >= 0, size)],
-                                        start[nodes], size[nodes], f[keep], thr[keep])
+                    rows_in = np.repeat(feature >= 0, size)
+                    n_left = _partition(x, slots, weight, rows[rows_in],
+                                        row_weight[rows_in], start[nodes], size[nodes],
+                                        f[keep], thr[keep])
                     t = trees[nodes]
                     child = np.column_stack((start[nodes], n_left, depth[nodes] + 1,
                                              np.full_like(n_left, -1)))
@@ -397,15 +519,17 @@ def _grow_forest(x: np.ndarray, y: np.ndarray, n_classes: int, config: ForestCon
             records.append((np.column_stack((trees, node_id, right_of, size, feature))
                             .astype(np.int32), threshold))
     nodes, threshold = (np.concatenate(r) for r in zip(*records))
-    del records  # freed before the tables below are allocated: less peak memory
-    return (n_nodes, *_forest_tables(nodes, threshold, n_nodes, slots, y, n_classes))
+    # Freed before the tables below are allocated: less peak memory.
+    del records, draws
+    return (n_nodes, *_forest_tables(nodes, threshold, n_nodes, slots, weight, y,
+                                     n_classes))
 
 
-def _forest_tables(nodes, threshold, n_nodes, slots, y, n_classes):
+def _forest_tables(nodes, threshold, n_nodes, slots, weight, y, n_classes):
     """(feature, threshold, left, right, counts) of all trees, end to end.
 
     A row of ``nodes`` is (tree, node id, parent if a right child else -1,
-    size, feature) and ``threshold`` holds the matching split thresholds.
+    rows, feature) and ``threshold`` holds the matching split thresholds.
     Each tree's nodes come out as one contiguous pre-order block, child
     links index the whole table, and ``counts`` has one row per leaf.
     """
@@ -420,10 +544,11 @@ def _forest_tables(nodes, threshold, n_nodes, slots, y, n_classes):
     is_right = right_of >= 0
     right[offset[tree[is_right]] + right_of[is_right]] = at[is_right]
     # In pre-order a tree's leaves run left to right, so they tile its slots
-    # in order: each slot's sample counts in the leaf whose range holds it.
+    # in order: each slot's copies count in the leaf whose range holds it.
     leaf_size = size[order][leaf]
     slot_count = np.repeat(np.arange(leaf_size.size), leaf_size) * n_classes + y[slots]
-    counts = np.bincount(slot_count, minlength=leaf_size.size * n_classes)
+    counts = np.bincount(np.repeat(slot_count, weight),
+                         minlength=leaf_size.size * n_classes)
     return feature, threshold[order], left, right, counts.reshape(-1, n_classes)
 
 

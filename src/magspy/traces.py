@@ -316,8 +316,14 @@ def _json_lines(path, read):
             yield item
 
 
+def _read_recordings(path):
+    """Each recording of a JSON Lines recording file, read as it is reached;
+    a bad line raises when it is read."""
+    return _json_lines(path, lambda obj: _from_dict(
+        SensorRecording, obj, "recording", mag=lambda mag: _sample_array(mag, "mag"),
+        gyro=lambda gyro: None if gyro is None else _sample_array(gyro, "gyro")))
+
+
 def load_recordings(path) -> list[SensorRecording]:
     """Read a JSON Lines recording file, rejecting the whole file on any bad line."""
-    return list(_json_lines(path, lambda obj: _from_dict(
-        SensorRecording, obj, "recording", mag=lambda mag: _sample_array(mag, "mag"),
-        gyro=lambda gyro: None if gyro is None else _sample_array(gyro, "gyro"))))
+    return list(_read_recordings(path))

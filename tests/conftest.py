@@ -222,6 +222,46 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, n_classes: int, config: ForestConfi
     return _Tree(feature, threshold, left, right, np.asarray(counts))
 
 
+def reference_choice_sets(words, d, k, calls):
+    """``Generator.choice(d, k, replace=False)``, call after call, from a list
+    of 32-bit words, one word at a time.
+
+    Test oracle for ``forest._choice_sets``, written after numpy's C code:
+    Floyd's algorithm for j = d - k ... d - 1 with a Python set, then the
+    k - 1 draws of the shuffle, each a Lemire draw below ``bound`` that
+    draws again while the low word of ``u * bound`` is under
+    ``(2^32 - bound) % bound``. Returns the sorted sets of the calls the
+    words complete (at most ``calls``) and how many words those calls use.
+    """
+    at = 0
+
+    def below(bound):
+        nonlocal at
+        m = words[at] * bound
+        at += 1
+        if m & 0xFFFFFFFF < bound:
+            threshold = (0xFFFFFFFF - (bound - 1)) % bound
+            while m & 0xFFFFFFFF < threshold:
+                m = words[at] * bound
+                at += 1
+        return m >> 32
+
+    sets, used = [], 0
+    try:
+        while len(sets) < calls:
+            chosen = set()
+            for j in range(d - k, d):
+                value = below(j + 1)
+                chosen.add(j if value in chosen else value)
+            for i in range(k - 1, 0, -1):
+                below(i + 1)
+            sets.append(sorted(chosen))
+            used = at
+    except IndexError:  # the words ran out inside a call
+        pass
+    return sets, used
+
+
 def reference_train_forest(train, config):
     """``forest.train_forest`` as it was: each tree grown alone, one after another."""
     x, y = _dataset_to_arrays(train)

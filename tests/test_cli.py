@@ -1,4 +1,5 @@
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -51,6 +52,44 @@ class TestSimulateTrainClassify:
         assert len(lines) == 24
         report = json.loads((out_dir / "report.json").read_text())
         assert report["report"]["accuracy"] >= 0.9  # training data
+
+    @pytest.mark.parametrize("command", ["train", "classify", "detect"])
+    def test_each_recording_is_reduced_as_it_is_read(self, tmp_path, capsys,
+                                                     monkeypatch, command):
+        # A recording is reduced to its trace before the next line is read,
+        # and it is dropped by the time the one after that is read.
+        import magspy.cli as cli
+        config = write_config(tmp_path, class_count=2, traces_per_class=3)
+        main(["simulate", "--config", config, "--out", str(tmp_path / "sim")])
+        data = tmp_path / "sim" / "recordings.jsonl"
+        model = tmp_path / "model" / "model.json"
+        main(["train", "--config", config, "--data", str(data),
+              "--out", str(model.parent)])
+        events, alive = [], []
+        read, reduce = cli._read_recordings, cli.preprocess_recording
+
+        def reading(path):
+            for rec in read(path):
+                assert all(ref() is None for ref in alive[:-1])
+                alive.append(weakref.ref(rec))
+                events.append(("read", rec.label))
+                yield rec
+
+        def reducing(rec, *args):
+            events.append(("reduce", rec.label))
+            return reduce(rec, *args)
+
+        monkeypatch.setattr(cli, "_read_recordings", reading)
+        monkeypatch.setattr(cli, "preprocess_recording", reducing)
+        pattern = model.parent / "pattern_class-000.json"
+        argv = {"train": ["train", "--config", config],
+                "classify": ["classify", "--model", str(model)],
+                "detect": ["detect", "--pattern", str(pattern), "--min-height", "0.5",
+                           "--min-prominence", "0.1"]}[command]
+        assert main(argv + ["--data", str(data), "--out", str(tmp_path / "out")]) == 0
+        labels = [rec.label for rec in load_recordings(data)]
+        assert events == [(step, label) for label in labels
+                          for step in ("read", "reduce")]
 
     def test_classify_matches_per_recording_predict(self, tmp_path, capsys):
         config = write_config(tmp_path)

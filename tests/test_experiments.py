@@ -251,6 +251,20 @@ class TestOpenWorld:
         assert report.matrix[row].sum() == 6
 
 
+@pytest.mark.parametrize("runner", [run_sampling_sweep, run_continuous, run_movement])
+def test_runner_rejects_a_device_at_another_rate(monkeypatch, runner):
+    # Called as a library, with the default closed-world scenario, a runner
+    # that indexes samples at rate_hz rejects a 50 Hz device before it renders.
+    def render(*args, **kwargs):
+        raise AssertionError("rendered before the profile rate was checked")
+
+    monkeypatch.setattr("magspy.experiments.render_recording", render)
+    cfg = small_config(class_count=3, traces_per_class=6, rates=(100.0, 10.0),
+                       device_profiles=(profile_for_snr(12.0, rate_hz=50.0),))
+    with pytest.raises(ValueError, match="rate_hz 100.0, not 50.0"):
+        runner(cfg)
+
+
 class TestSamplingSweep:
     def test_native_rate_matches_closed_world(self):
         cfg = small_config(rates=(100.0,))

@@ -11,7 +11,7 @@ from conftest import (MALFORMED_TREES, _best_split, brute_force_best_split,
                       reference_best_split, reference_features,
                       reference_predict_many, reference_train_forest, tree_doc,
                       write_model_doc)
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -287,7 +287,10 @@ class TestSplitSearch:
     @given(data=st.data())
     def test_segmented_search_matches_brute_force_per_node(self, data):
         # A batch of nodes whose rows lie shuffled in one shared matrix, each
-        # with its own ascending candidate subset of the same size.
+        # with its own ascending candidate subset of the same size. Each row
+        # stands for 1-3 copies of its sample, as a bootstrap draws them, and
+        # the oracle scans the rows repeated that often; all-ones weights are
+        # the search without a bootstrap.
         d = data.draw(st.integers(1, 6))
         k = data.draw(st.integers(1, d))
         nodes = data.draw(st.lists(split_nodes(width=d), min_size=1, max_size=12))
@@ -301,16 +304,24 @@ class TestSplitSearch:
         cand = np.array([sorted(data.draw(st.lists(st.integers(0, d - 1), min_size=k,
                                                    max_size=k, unique=True)))
                          for _ in nodes])
-        hist = np.array([np.bincount(codes, minlength=n_classes)
-                         for _, codes, _ in nodes])
+        if data.draw(st.booleans()):
+            copies = [np.ones(size, dtype=np.int64) for size in sizes]
+        else:
+            copies = [data.draw(hnp.arrays(np.int64, size, elements=st.integers(1, 3)))
+                      for size in sizes.tolist()]
+        weight = np.empty(sizes.sum(), dtype=np.int64)
+        weight[where] = np.concatenate(copies)
+        hist = np.array([np.bincount(codes, w, minlength=n_classes)
+                         for (_, codes, _), w in zip(nodes, copies)], dtype=np.int64)
         found, feature, threshold, decrease = _SplitSearch(x, y, n_classes)(
-            where, sizes, cand, hist)
+            where, weight[where], sizes, cand, hist)
         got = [None] * len(nodes)
         for j, f, t, g in zip(found.tolist(), feature.tolist(), threshold.tolist(),
                               decrease.tolist()):
             got[j] = (f, t, g)
-        for (block, codes, _), cols, result in zip(nodes, cand, got):
-            want = brute_force_best_split(block[:, cols], codes, n_classes)
+        for (block, codes, _), w, cols, result in zip(nodes, copies, cand, got):
+            want = brute_force_best_split(np.repeat(block[:, cols], w, axis=0),
+                                          np.repeat(codes, w), n_classes)
             if want is not None:
                 want = (int(cols[want[0]]), want[1], want[2])
             assert result == want
@@ -355,6 +366,82 @@ class TestSplitSearch:
         assert ((tmp_path / "forest.json").read_bytes()
                 == (tmp_path / "per-tree.json").read_bytes()
                 == (tmp_path / "per-feature.json").read_bytes())
+
+
+def generator_words(rng, count):
+    """The next 32-bit draws of ``rng``, read from a copy of its state: the
+    half it holds buffered, if any, then each raw word's low and high half."""
+    state = rng.bit_generator.state
+    copy = np.random.PCG64()
+    copy.state = state
+    raw = copy.random_raw(count).tolist()
+    words = [state["uinteger"]] if state["has_uint32"] else []
+    for word in raw:
+        words += [word & 0xFFFFFFFF, word >> 32]
+    return words
+
+
+class TestCandidateDraws:
+    """Block-drawn candidate sets against ``Generator.choice`` and the
+    scalar replica. ``choice``'s tail shuffle (d > 10000 and k > d // 50)
+    is reached by neither the "log2" nor the "sqrt" rule, so only its
+    Floyd branch is replicated."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 40),
+           d=st.integers(2, 10_000), rule=st.sampled_from(["log2", "sqrt"]),
+           steps=st.integers(1, 2 * forest._DRAW_BLOCK + 10),
+           pattern=st.integers(0, 2**32 - 1))
+    def test_block_draws_match_generator_choice(self, seed, n, d, rule, steps, pattern):
+        # Three trees, each after its bootstrap draw of n rows (an odd n
+        # leaves a half word buffered), ask for sets in an interleaved
+        # pattern, as growth steps do, across draw blocks.
+        k = forest._subset_size(rule, d)
+        assume(k < d)
+        streams = np.random.SeedSequence(seed).spawn(3)
+        want, mine = ([np.random.default_rng(s) for s in streams] for _ in range(2))
+        for rng in want + mine:
+            rng.integers(0, n, size=n)
+        words = generator_words(want[0], 2 * steps * k)
+        draws = forest._CandidateDraws(mine, d, k)
+        asks = np.random.default_rng(pattern).random((steps, 3)) < 0.7
+        for trees in map(np.flatnonzero, asks):
+            if trees.size:
+                got = draws(trees)
+                for t, row in zip(trees.tolist(), got.tolist()):
+                    assert row == sorted(want[t].choice(d, k, replace=False).tolist())
+        # The replica reads the same words as tree 0's choice calls.
+        first = np.random.default_rng(streams[0])
+        first.integers(0, n, size=n)
+        calls = int(asks[:, 0].sum())
+        sets, _ = conftest.reference_choice_sets(words, d, k, calls)
+        assert sets == [sorted(first.choice(d, k, replace=False).tolist())
+                        for _ in range(calls)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), d=st.integers(2, 300),
+           rule=st.sampled_from(["log2", "sqrt"]), calls=st.integers(0, 8),
+           zeros=st.lists(st.integers(0, 2**16), max_size=8),
+           margin=st.integers(-4, 4))
+    def test_rejected_words_match_scalar_replica(self, seed, d, rule, calls, zeros,
+                                                 margin):
+        # Real seeds almost never reject a word, so the stream is crafted:
+        # u = 0 is rejected under every bound that is not a power of two,
+        # and the first bound, d - k + 1, is not one.
+        k = forest._subset_size(rule, d)
+        assume(k < d and (d - k + 1) & (d - k))
+        period = 2 * k - 1
+        size = max(1, calls * period + len(zeros) + margin)
+        words = np.random.default_rng(seed).integers(0, 2**32, size, dtype=np.uint64)
+        words[0] = 0
+        for at in zeros:
+            words = np.insert(words, at % (words.size + 1), 0)
+        want, used = conftest.reference_choice_sets(words.tolist(), d, k, calls)
+        got, got_used = forest._choice_sets(words, d, k, calls)
+        assert got.tolist() == want
+        assert got_used == used
+        assert not want or used > len(want) * period  # a word was rejected
 
 
 # Hand-written one-feature trees for the walk. In "left-child-not-next" the
