@@ -26,7 +26,7 @@ from .forest import (DEFAULT_BIN_COUNT, Dataset, FeatureVector, ForestConfig,
 from .metrics import EvalReport, evaluate, format_report_text
 from .motion import MotionThresholds, is_disturbed, motion_metrics
 from .preprocess import preprocess_recording
-from .simulate import (DeviceProfile, _stable_seed, estimate_snr,
+from .simulate import (DeviceProfile, _snr_gain, _stable_seed, estimate_snr,
                        make_class_signature, pattern_correlation,
                        perturb_pattern, profile_for_snr, profile_from_dict,
                        random_motion_script, render_recording,
@@ -139,6 +139,12 @@ class ExperimentConfig:
             _check_real("gains", gain, 0.0)
         if self.scenario == "open-world" and self.monitored_count > self.class_count:
             raise ValueError("monitored_count cannot exceed class_count")
+        if not self.device_profiles:
+            _snr_gain(self.snr_db, self.noise_std)  # the gain must be finite
+        if (self.scenario == "continuous"
+                and self.distractor_count > self.class_count - 1):
+            raise ValueError(f"distractor_count {self.distractor_count} exceeds the "
+                             f"{self.class_count - 1} classes other than the target")
         # These runners check it again as they start, for library calls; here
         # it fails such a config before simulate or train render anything.
         if self.scenario in ("sweep", "continuous", "movement"):
@@ -567,7 +573,9 @@ def run_movement(cfg: ExperimentConfig) -> MovementResult:
                 pattern, profiles[j % len(profiles)], motion=script,
                 seed=_child_seed(cfg.seed, "motion-render", slot), label=label)
             test_traces[slot] = preprocess_recording(rec)
-        flagged[slot] = is_disturbed(motion_metrics(rec.gyro), cfg.motion_thresholds)
+        # A recording without a gyroscope has no rotation: it is never flagged.
+        flagged[slot] = (rec.gyro is not None and is_disturbed(
+            motion_metrics(rec.gyro), cfg.motion_thresholds))
 
     predicted, _ = _predict_labels(core.model, test_traces)
     correct = np.asarray([p == label for p, label in zip(predicted, test_labels)])

@@ -49,8 +49,7 @@ class DeviceProfile:
 
     ``gain`` is the disturbance amplitude in microtesla at 100% CPU load;
     ``noise_std`` the per-axis Gaussian sensor noise. ``gyro_noise_std`` is
-    zero by default so stationary renderings produce exactly silent
-    gyroscope output.
+    zero by default so stationary renderings carry no gyroscope channel.
     """
 
     baseline_field: np.ndarray
@@ -120,8 +119,17 @@ def profile_for_snr(snr_db: float, *, noise_std: float = 1.0, rate_hz: float = 1
 
 
 def _snr_gain(snr_db, noise_std) -> float:
+    """noise_std * 10**(snr_db / 20), which must be finite."""
     _check_real("snr_db", snr_db)
-    return noise_std * 10.0 ** (snr_db / 20.0)
+    _check_real("noise_std", noise_std, 0.0)
+    try:
+        gain = noise_std * 10.0 ** (snr_db / 20.0)
+    except OverflowError:
+        gain = math.inf
+    if not math.isfinite(gain):
+        raise ValueError(f"the gain noise_std * 10**(snr_db / 20) is too large for a "
+                         f"float at snr_db {snr_db!r}, noise_std {noise_std!r}")
+    return gain
 
 
 def make_class_signature(class_id: str, duration_s: float, rate_hz: float,
@@ -273,7 +281,9 @@ def render_recording(cpu: CpuPattern, device: DeviceProfile,
 
     mag[i] = R_i(baseline) + gain * cpu[i] * coupling_dir + noise, where R_i
     is the cumulative rotation implied by the motion script (identity when
-    absent). The gyroscope reports the instantaneous rotation rate. The CPU
+    absent). The gyroscope reports the instantaneous rotation rate plus
+    ``gyro_noise_std`` noise; with neither rotation nor gyro noise its output
+    would be all zeros, so the recording carries no ``gyro`` (None). The CPU
     pattern is first resampled to the device rate by linear interpolation
     when the rates differ.
     """
@@ -294,8 +304,9 @@ def render_recording(cpu: CpuPattern, device: DeviceProfile,
                 pulse *= ev.peak_rate_rad_s / peak
             rate_vec[ev.start_index:end] += pulse[:, None] * ev.axis
 
+    rotating = motion is not None and bool(np.any(rate_vec))
     base = np.broadcast_to(device.baseline_field, (n, 3)).copy()
-    if motion is not None and np.any(rate_vec):
+    if rotating:
         dt = 1.0 / device.rate_hz
         rot = np.eye(3)
         moving = np.flatnonzero(np.einsum("ij,ij->i", rate_vec, rate_vec))
@@ -310,9 +321,9 @@ def render_recording(cpu: CpuPattern, device: DeviceProfile,
     mag = base + device.gain * values[:, None] * device.coupling_dir
     if device.noise_std > 0:
         mag = mag + rng.normal(0.0, device.noise_std, (n, 3))
-    gyro = rate_vec
+    gyro = rate_vec if rotating else None
     if device.gyro_noise_std > 0:
-        gyro = gyro + rng.normal(0.0, device.gyro_noise_std, (n, 3))
+        gyro = rate_vec + rng.normal(0.0, device.gyro_noise_std, (n, 3))
     return SensorRecording(device_id=device_id, rate_hz=device.rate_hz, mag=mag,
                            gyro=gyro, label=label, meta=meta or {})
 

@@ -252,7 +252,8 @@ class Dataset:
 #
 # One recording per line, keys in fixed order:
 #   device_id (string), label (string, omitted when absent), rate_hz (number),
-#   mag (array of [x, y, z] triples), gyro (optional array of triples),
+#   mag (array of [x, y, z] triples), gyro (optional array of triples;
+#   simulate renders none without rotation or gyro noise),
 #   meta (optional string-to-string object, omitted when empty).
 # Floats are written with Python's shortest round-trip representation, which
 # preserves values exactly (beyond the 9-significant-digit contract).

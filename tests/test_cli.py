@@ -485,6 +485,21 @@ class TestDetectCommand:
         recs = load_recordings(sim_dir / "recordings.jsonl")
         assert all(np.linalg.norm(r.gyro, axis=1).max() > 1.9 for r in recs)
 
+    def test_simulate_writes_gyro_only_with_rotation(self, tmp_path, capsys):
+        # Without rotation or gyro noise a recording has no gyroscope channel.
+        config = write_config(tmp_path, class_count=2, traces_per_class=2)
+        script = tmp_path / "motion.json"
+        script.write_text(json.dumps({"rotation_events": [
+            {"start_index": 50, "duration_samples": 100,
+             "peak_rate_rad_s": 2.0, "axis": [0.0, 0.0, 1.0]}]}))
+        for out, extra, has_gyro in (("plain", [], False),
+                                     ("moving", ["--motion-script", str(script)], True)):
+            assert main(["simulate", "--config", config, "--out", str(tmp_path / out),
+                         *extra]) == 0
+            lines = (tmp_path / out / "recordings.jsonl").read_text().splitlines()
+            assert len(lines) == 4
+            assert all(("gyro" in json.loads(line)) == has_gyro for line in lines)
+
     def test_motion_script_render_follows_seed(self, tmp_path, capsys):
         # With a gain-0 device only the render noise tells recordings apart.
         config = write_config(tmp_path, class_count=1, traces_per_class=2)
@@ -764,7 +779,8 @@ class TestExitCodes:
         ("rates", "[100.0, true]"), ("rates", "[100.0, NaN]"), ("rates", "[100.0, -1.0]"),
         ("rates", "[100.0, 0]"), ("gains", "[NaN]"), ("gains", "[-1.0]"),
         ("train_fraction", "1.5"), ("train_fraction", "1.0"), ("train_fraction", "0"),
-        ("train_fraction", "true"),
+        ("train_fraction", "true"), ("snr_db", "1e308"), ("noise_std", "1e308"),
+        ("noise_std", '"1"'), ("distractor_count", "2"),
     ])
     def test_eval_rejects_bad_stream_float_before_rendering(self, tmp_path, capsys,
                                                              monkeypatch, field, value):
@@ -778,6 +794,25 @@ class TestExitCodes:
         assert main(["eval", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert "magspy: error:" in err and field in err
+
+    @pytest.mark.parametrize("profile", [None, '{"snr_db": 1e308}'],
+                             ids=["config", "device-profile"])
+    def test_overflowing_gain_names_snr_db_before_rendering(self, tmp_path, capsys,
+                                                            monkeypatch, profile):
+        # A closed world resolves its device only when it renders.
+        def render(*args, **kwargs):
+            raise AssertionError("rendered before the gain was checked")
+
+        monkeypatch.setattr("magspy.experiments.render_recording", render)
+        config = write_config(tmp_path, **({} if profile else {"snr_db": 1e308}))
+        argv = ["eval", "--config", config, "--out", str(tmp_path / "out")]
+        if profile:
+            (tmp_path / "profile.json").write_text(profile)
+            argv += ["--device-profile", str(tmp_path / "profile.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "magspy: error:" in err and "snr_db" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("doc", ["[]", '"x"'], ids=["list", "string"])
     @pytest.mark.parametrize("argv", [

@@ -339,6 +339,16 @@ class TestMovement:
         assert result.rejected_fraction == pytest.approx(0.25, abs=0.05)
         assert result.accuracy_filtered >= result.accuracy_unfiltered
 
+    def test_stationary_recordings_without_gyro_are_never_flagged(self):
+        # Stationary test recordings carry no gyroscope; even at zero
+        # thresholds they count as not disturbed, while every moving one does.
+        cfg = small_config(scenario="movement", motion_fraction=0.25,
+                           motion_thresholds=MotionThresholds(0.0, 0.0))
+        result = run_movement(cfg)
+        assert result.stationary_flagged_fraction == 0.0
+        assert result.motion_flagged_fraction == 1.0
+        assert result.rejected_fraction == pytest.approx(0.25, abs=0.05)
+
     def test_test_recordings_are_the_ones_the_closed_world_reduced(self,
                                                                    monkeypatch):
         # run_movement re-renders its stationary test recordings from their

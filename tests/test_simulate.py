@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -64,7 +65,37 @@ class TestRenderRecording:
         profile = DeviceProfile((20.0, 5.0, 43.0), (0.0, 0.0, 1.0), 0.0, 0.0, 10.0)
         rec = render_recording(synth_square_pattern(1, 1, 2, 10.0), profile, seed=0)
         assert np.array_equal(rec.mag, np.tile([20.0, 5.0, 43.0], (40, 1)))
-        assert not rec.gyro.any()
+        assert rec.gyro is None  # no rotation and no gyro noise: no gyroscope
+
+    # sha256 of the gyro and mag bytes, pinned before stationary renders
+    # dropped their all-zero gyroscope: a rendered gyroscope is unchanged.
+    @pytest.mark.parametrize("gyro_noise_std, rotating, gyro_digest, mag_digest", [
+        (0.01, False,
+         "00222a215916f61c960a4257021a707b52e28d2d4b14bd69543cea6e049be206",
+         "6490b8135603c7c4300e5731abff00f4c66eabcd2814e0e13457a3397e964be3"),
+        (0.0, True,
+         "89fb66e0f2071c7d42c045a8cbc794fd31c7864c5d52d70b0b6bc402a3050dec",
+         "03dea9d9d5744c626338f2e5edd2043402ec519fa92d1e9b58d434d21e5d7aca"),
+        (0.01, True,
+         "c7b7ed90aed824bb606e06a250acc9a7e7c55b7fe887adb992ab642d14be85cb",
+         "03dea9d9d5744c626338f2e5edd2043402ec519fa92d1e9b58d434d21e5d7aca"),
+    ], ids=["gyro-noise", "rotation", "rotation-and-gyro-noise"])
+    def test_gyro_rendered_with_rotation_or_gyro_noise(self, gyro_noise_std, rotating,
+                                                       gyro_digest, mag_digest):
+        script = (MotionScript((RotationEvent(20, 80, 2.0, (0.0, 0.6, 0.8)),))
+                  if rotating else None)
+        rec = render_recording(make_class_signature("a", 2.0, 100.0, 0),
+                               profile_for_snr(10.0, gyro_noise_std=gyro_noise_std),
+                               motion=script, seed=42)
+        assert hashlib.sha256(rec.gyro.tobytes()).hexdigest() == gyro_digest
+        assert hashlib.sha256(rec.mag.tobytes()).hexdigest() == mag_digest
+
+    def test_motion_script_without_events_renders_no_gyro(self):
+        profile = profile_for_snr(10.0, rate_hz=10.0)
+        pattern = CpuPattern(np.zeros(20), 10.0)
+        rec = render_recording(pattern, profile, motion=MotionScript(), seed=0)
+        assert rec.gyro is None
+        assert np.array_equal(rec.mag, render_recording(pattern, profile, seed=0).mag)
 
     def test_analytic_two_sample_case(self):
         profile = DeviceProfile((50.0, 0.0, 0.0), (0.0, 0.0, 1.0), 3.0, 0.0, 1.0)
