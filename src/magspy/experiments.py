@@ -145,6 +145,12 @@ class ExperimentConfig:
                 and self.distractor_count > self.class_count - 1):
             raise ValueError(f"distractor_count {self.distractor_count} exceeds the "
                              f"{self.class_count - 1} classes other than the target")
+        # The largest drawn rate is 1.5 * motion_peak_rate (see run_movement);
+        # past pi rad per sample the rendered rotation aliases.
+        if (self.scenario == "movement"
+                and 1.5 * self.motion_peak_rate / self.rate_hz > np.pi):
+            raise ValueError(f"motion_peak_rate {self.motion_peak_rate} turns the device "
+                             f"more than pi rad per sample at rate_hz {self.rate_hz}")
         # These runners check it again as they start, for library calls; here
         # it fails such a config before simulate or train render anything.
         if self.scenario in ("sweep", "continuous", "movement"):

@@ -552,34 +552,36 @@ def _forest_tables(nodes, threshold, n_nodes, slots, weight, y, n_classes):
     return feature, threshold[order], left, right, counts.reshape(-1, n_classes)
 
 
-def _dataset_to_arrays(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    if len(train) == 0:
-        raise ValueError("training dataset is empty")
-    lengths = {len(fv.values) for fv, _ in train.items}
-    if len(lengths) != 1:
-        raise ValueError("feature vectors have inconsistent lengths")
-    # Canonical order: by (label, feature values). Makes the model invariant
-    # to the incoming item order for a fixed seed.
-    order = sorted(range(len(train)),
-                   key=lambda i: (train.items[i][1], tuple(train.items[i][0].values)))
-    x = np.stack([train.items[i][0].values for i in order])
-    label_code = {name: c for c, name in enumerate(train.class_names)}
-    y = np.asarray([label_code[train.items[i][1]] for i in order], dtype=np.intp)
-    return x, y
+def _stack(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The feature rows and class codes of a dataset of FeatureVector items."""
+    if len({len(fv) for fv, _ in data.items}) != 1:
+        raise ValueError("feature vectors are missing or have inconsistent lengths")
+    code = {name: c for c, name in enumerate(data.class_names)}
+    return (np.stack([fv.values for fv, _ in data.items]),
+            np.array([code[label] for label in data.labels], dtype=np.intp))
+
+
+def _train_rows(x: np.ndarray, y: np.ndarray, class_names: tuple[str, ...],
+                config: ForestConfig) -> ForestModel:
+    """Grow a forest on feature rows ``x`` of class codes ``y``.
+
+    The rows are first put in canonical order, by label and then by feature
+    values, so the model does not depend on the incoming row order. Labels
+    rank by Python's string order: numpy's fixed-width strings drop trailing
+    NULs. Every tree grows from its own stream, spawned up front from the
+    config seed.
+    """
+    rank = np.argsort(sorted(range(len(class_names)), key=class_names.__getitem__))
+    order = np.lexsort((*x.T[::-1], rank[y]))  # stable, the last key first
+    streams = np.random.SeedSequence(config.seed).spawn(config.n_estimators)
+    return ForestModel(*_grow_forest(x[order], y[order], len(class_names), config,
+                                     [np.random.default_rng(s) for s in streams]),
+                       class_names, x.shape[1], config)
 
 
 def train_forest(train: Dataset, config: ForestConfig) -> ForestModel:
-    """Grow a forest on a dataset of FeatureVector items.
-
-    Every tree grows from its own stream, spawned up front from the config
-    seed.
-    """
-    x, y = _dataset_to_arrays(train)
-    n_classes = len(train.class_names)
-    streams = np.random.SeedSequence(config.seed).spawn(config.n_estimators)
-    return ForestModel(*_grow_forest(x, y, n_classes, config,
-                                     [np.random.default_rng(s) for s in streams]),
-                       train.class_names, x.shape[1], config)
+    """Grow a forest on a dataset of FeatureVector items (see :func:`_train_rows`)."""
+    return _train_rows(*_stack(train), train.class_names, config)
 
 
 def predict_many(model: ForestModel, x) -> tuple[np.ndarray, np.ndarray]:
@@ -722,18 +724,15 @@ def cross_validate_grid(train: Dataset, grid, folds: int,
     fold_of = np.empty(len(train), dtype=np.intp)
     for perm in _stratify(train.labels, train.class_names, folds, seed):
         fold_of[perm] = np.arange(len(perm)) % folds
-
-    x = np.stack([fv.values for fv, _ in train.items])
-    truth = np.asarray([train.class_names.index(label) for label in train.labels])
+    x, y = _stack(train)
     means = []
     for config in grid:
         accs = []
         for fold in range(folds):
             held = fold_of == fold
-            fit = [item for item, h in zip(train.items, held) if not h]
-            model = train_forest(Dataset(tuple(fit), train.class_names), config)
+            model = _train_rows(x[~held], y[~held], train.class_names, config)
             codes, _ = predict_many(model, x[held])
-            accs.append(float(np.mean(codes == truth[held])))
+            accs.append(float(np.mean(codes == y[held])))
         means.append(float(np.mean(accs)))
     best = int(np.argmax(means))  # the first of equal means
     return grid[best], tuple(means)

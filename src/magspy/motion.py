@@ -1,13 +1,12 @@
-"""Gyroscope-based movement metrics and threshold filtering of disturbed traces."""
+"""Gyroscope-based movement metrics and the threshold test for disturbed recordings."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .traces import SensorRecording, _samples3
+from .traces import _samples3
 
 #: Defaults calibrated on simulated hand-held jitter (rad/s).
 DEFAULT_MEAN_THRESHOLD = 0.05
@@ -38,13 +37,6 @@ class MotionThresholds:
                 raise ValueError(f"{name} must be a non-negative number, not {value!r}")
 
 
-class FilterResult(NamedTuple):
-    kept: tuple[SensorRecording, ...]
-    rejected: tuple[SensorRecording, ...]
-    rejected_fraction: float
-    no_gyro_count: int
-
-
 def motion_metrics(gyro) -> MotionMetrics:
     """Reduce 3-axis rotation rates to (mean magnitude, max magnitude)."""
     g = _samples3(gyro, "gyro")
@@ -58,25 +50,3 @@ def is_disturbed(metrics: MotionMetrics, thresholds: MotionThresholds) -> bool:
     return (metrics.mean_rate > thresholds.mean_threshold
             or metrics.max_rate > thresholds.max_threshold)
 
-
-def filter_dataset(recordings, thresholds: MotionThresholds) -> FilterResult:
-    """Partition recordings into (kept, rejected) by the movement criteria.
-
-    Recordings without gyroscope data cannot be assessed; they are kept and
-    counted in ``no_gyro_count``. The rejected fraction is relative to all
-    recordings. Order is preserved within each part.
-    """
-    kept: list[SensorRecording] = []
-    rejected: list[SensorRecording] = []
-    no_gyro = 0
-    for rec in recordings:
-        if rec.gyro is None:
-            no_gyro += 1
-            kept.append(rec)
-        elif is_disturbed(motion_metrics(rec.gyro), thresholds):
-            rejected.append(rec)
-        else:
-            kept.append(rec)
-    total = len(kept) + len(rejected)
-    fraction = len(rejected) / total if total else 0.0
-    return FilterResult(tuple(kept), tuple(rejected), fraction, no_gyro)

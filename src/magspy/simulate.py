@@ -43,6 +43,15 @@ def _stable_seed(*parts) -> int:
     return int.from_bytes(digest[:16], "little")
 
 
+def _vector3(name: str, values, unit: bool = False) -> np.ndarray:
+    """``values`` as a frozen 3-vector, of unit length if ``unit``. ``math.hypot``
+    takes the norm without squaring, so no finite entry overflows."""
+    v = _frozen_array(values, name=name)
+    if v.shape != (3,) or unit and abs(math.hypot(*v) - 1.0) > 1e-9:
+        raise ValueError(f"{name} must be a 3-component {'unit ' if unit else ''}vector")
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class DeviceProfile:
     """Device coupling parameters for rendering recordings.
@@ -60,12 +69,8 @@ class DeviceProfile:
     gyro_noise_std: float = 0.0
 
     def __post_init__(self):
-        baseline = _frozen_array(self.baseline_field, name="baseline_field")
-        coupling = _frozen_array(self.coupling_dir, name="coupling_dir")
-        if baseline.shape != (3,) or coupling.shape != (3,):
-            raise ValueError("baseline_field and coupling_dir must be 3-vectors")
-        if abs(float(np.linalg.norm(coupling)) - 1.0) > 1e-9:
-            raise ValueError("coupling_dir must be a unit vector")
+        baseline = _vector3("baseline_field", self.baseline_field)
+        coupling = _vector3("coupling_dir", self.coupling_dir, unit=True)
         for name in ("gain", "noise_std", "gyro_noise_std"):
             _check_real(name, getattr(self, name), 0.0)
         object.__setattr__(self, "baseline_field", baseline)
@@ -89,10 +94,7 @@ class RotationEvent:
         _check_count("start_index", self.start_index, 0)
         _check_count("duration_samples", self.duration_samples, 1)
         _check_real("peak_rate_rad_s", self.peak_rate_rad_s, 0.0)
-        axis = _frozen_array(self.axis, name="axis")
-        if axis.shape != (3,) or abs(float(np.linalg.norm(axis)) - 1.0) > 1e-9:
-            raise ValueError("axis must be a 3-component unit vector")
-        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "axis", _vector3("axis", self.axis, unit=True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,10 +300,8 @@ def render_recording(cpu: CpuPattern, device: DeviceProfile,
             if end > n:
                 raise ValueError("rotation event extends past the recording")
             u = (np.arange(ev.duration_samples) + 0.5) / ev.duration_samples
-            pulse = np.sin(np.pi * u) ** 2
-            peak = pulse.max()
-            if peak > 0 and ev.peak_rate_rad_s > 0:
-                pulse *= ev.peak_rate_rad_s / peak
+            pulse = np.sin(np.pi * u) ** 2  # positive: u lies inside (0, 1)
+            pulse *= ev.peak_rate_rad_s / pulse.max()
             rate_vec[ev.start_index:end] += pulse[:, None] * ev.axis
 
     rotating = motion is not None and bool(np.any(rate_vec))

@@ -4,8 +4,7 @@ import math
 
 import numpy as np
 
-from magspy.forest import (ForestConfig, ForestModel, _dataset_to_arrays,
-                           _subset_size)
+from magspy.forest import ForestConfig, ForestModel, _subset_size
 
 
 def brute_force_best_split(x, y, n_classes):
@@ -263,8 +262,14 @@ def reference_choice_sets(words, d, k, calls):
 
 
 def reference_train_forest(train, config):
-    """``forest.train_forest`` as it was: each tree grown alone, one after another."""
-    x, y = _dataset_to_arrays(train)
+    """``forest.train_forest`` as it was: each tree grown alone, one after another.
+
+    The rows go in canonical order by Python's (label, feature values) key.
+    """
+    order = sorted(range(len(train)),
+                   key=lambda i: (train.items[i][1], tuple(train.items[i][0].values)))
+    x = np.stack([train.items[i][0].values for i in order])
+    y = np.array([train.class_names.index(train.items[i][1]) for i in order])
     n_classes = len(train.class_names)
     streams = np.random.SeedSequence(config.seed).spawn(config.n_estimators)
     trees = [_grow_tree(x, y, n_classes, config, np.random.default_rng(s))

@@ -814,6 +814,27 @@ class TestExitCodes:
         assert "magspy: error:" in err and "snr_db" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "simulate"])
+    def test_unbounded_motion_rate_is_rejected_before_rendering(self, tmp_path, capsys,
+                                                                monkeypatch, command):
+        # It used to overflow while rendering, then fail in math.sin(inf).
+        renders = []
+
+        def render(*args, **kwargs):
+            renders.append(args)
+            raise AssertionError("rendered before the config was checked")
+
+        monkeypatch.setattr("magspy.experiments.render_recording", render)
+        monkeypatch.setattr("magspy.cli.render_recording", render)
+        config = write_config(tmp_path, scenario="movement", class_count=3,
+                              traces_per_class=4, duration_s=2.0, motion_peak_rate=1e308)
+        out_dir = tmp_path / "out"
+        assert main([command, "--config", config, "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert "magspy: error:" in err and "motion_peak_rate" in err
+        assert not renders
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("doc", ["[]", '"x"'], ids=["list", "string"])
     @pytest.mark.parametrize("argv", [
         ["eval"], ["eval", "--seed", "3"], ["snr"], ["simulate", "--seed", "3"],

@@ -381,6 +381,21 @@ class TestMovement:
             assert np.array_equal(preprocess_recording(rec).values,
                                   core.traces[idx].values)
 
+    def test_zero_peak_rate_moves_nothing(self):
+        cfg = small_config(scenario="movement", class_count=3, traces_per_class=4,
+                           duration_s=2.0, motion_peak_rate=0.0)
+        result = run_movement(cfg)
+        assert result.rejected_fraction == 0.0
+        assert result.motion_flagged_fraction == 0.0
+
+    def test_peak_rate_bounded_by_pi_per_sample(self):
+        # The largest drawn rate, 1.5 * motion_peak_rate, turns the device by
+        # 3.0 rad per sample at 1 Hz (loads) or 3.15 rad (rejected).
+        small_config(scenario="movement", rate_hz=1.0, motion_peak_rate=2.0)
+        with pytest.raises(ValueError, match="motion_peak_rate"):
+            small_config(scenario="movement", rate_hz=1.0, motion_peak_rate=2.1)
+        small_config(motion_peak_rate=1e308)  # only a movement config renders it
+
     def test_saturated_fraction(self):
         cfg = small_config(scenario="movement", motion_fraction=1.0)
         result = run_movement(cfg)

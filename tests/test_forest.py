@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import signal
@@ -336,6 +337,15 @@ class TestSplitSearch:
         assert len(data) * 50 > _BATCH_ELEMENTS  # the root alone exceeds a batch
         return data
 
+    @pytest.fixture(scope="class")
+    def unordered_world(self, closed_world):
+        # Class codes out of string order, names that differ by trailing NULs
+        # (equal as numpy strings), and every third row twice.
+        names = dict(zip(closed_world.class_names, ("b", "a\0", "a", "c", "a\0\0")))
+        items = closed_world.items + closed_world.items[::3]
+        return Dataset.from_pairs([(fv, names[label]) for fv, label in items],
+                                  tuple(names.values()))
+
     @pytest.mark.parametrize("config, world", [
         (ForestConfig(n_estimators=10, seed=1), "closed_world"),
         (ForestConfig(n_estimators=10, max_features="sqrt", max_depth=10,
@@ -345,8 +355,9 @@ class TestSplitSearch:
         (ForestConfig(n_estimators=1, seed=6), "closed_world"),
         (ForestConfig(n_estimators=2, max_features="all", seed=4),
          "large_closed_world"),
+        (ForestConfig(n_estimators=6, max_features="sqrt", seed=7), "unordered_world"),
     ], ids=["log2-bootstrap", "sqrt-depth10-no-min-decrease", "all-no-bootstrap",
-            "one-tree", "root-above-batch-budget"])
+            "one-tree", "root-above-batch-budget", "unordered-repeated-rows"])
     def test_model_bytes_match_per_feature_reference(self, tmp_path, monkeypatch,
                                                      request, config, world):
         # The whole-forest grower against the tree-by-tree grower, run with
@@ -584,6 +595,28 @@ class TestCrossValidateGrid:
         _, means = cross_validate_grid(
             data, [ForestConfig(n_estimators=3, seed=1)], folds=2)
         assert 0.0 <= means[0] <= 1.0
+
+    def test_means_match_train_forest_on_each_fold(self):
+        # Class codes out of string order; each fold fitted on a Dataset of
+        # its training items and scored item by item.
+        data = feature_dataset([(fv.values, label) for fv, label in
+                                self.xor_dataset(per_corner=5).items], ("B", "A"))
+        grid = [ForestConfig(n_estimators=3, seed=1),
+                ForestConfig(n_estimators=4, max_features="all", max_depth=2, seed=2)]
+        _, means = cross_validate_grid(data, grid, folds=3, seed=5)
+        fold_of = np.empty(len(data), dtype=int)
+        for perm in forest._stratify(data.labels, data.class_names, 3, 5):
+            fold_of[perm] = np.arange(len(perm)) % 3
+        want = []
+        for config in grid:
+            accs = []
+            for fold in range(3):
+                fit = tuple(item for item, f in zip(data.items, fold_of) if f != fold)
+                model = train_forest(Dataset(fit, data.class_names), config)
+                accs.append(np.mean([predict(model, fv)[0] == label for fv, label
+                                     in itertools.compress(data.items, fold_of == fold)]))
+            want.append(float(np.mean(accs)))
+        assert means == tuple(want)
 
     def test_class_too_small(self):
         data = feature_dataset([([0.0], "a"), ([1.0], "a"), ([0.1], "b"),

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from magspy.motion import (MotionMetrics, MotionThresholds, filter_dataset,
-                           is_disturbed, motion_metrics)
+from magspy.motion import (MotionMetrics, MotionThresholds, is_disturbed,
+                           motion_metrics)
 from magspy.simulate import (make_class_signature, profile_for_snr,
                              random_motion_script, render_recording)
 from magspy.traces import SensorRecording
@@ -56,21 +56,27 @@ class TestIsDisturbed:
             assert not is_disturbed(metrics, loose)
 
 
-def _recording(gyro_scale=0.0, seed=0, with_gyro=True):
+def _recording(gyro_scale=0.0, seed=0):
     rng = np.random.default_rng(seed)
-    return SensorRecording(
-        "d", 100.0, rng.normal(50, 1, (50, 3)),
-        gyro=rng.normal(0, gyro_scale, (50, 3)) + gyro_scale if with_gyro else None)
+    return SensorRecording("d", 100.0, rng.normal(50, 1, (50, 3)),
+                           gyro=rng.normal(0, gyro_scale, (50, 3)) + gyro_scale)
+
+
+def _flagged(recordings, thresholds):
+    """``run_movement``'s movement filter: a recording is dropped when it has
+    a gyroscope and its rotation rates are disturbed."""
+    return [rec.gyro is not None and is_disturbed(motion_metrics(rec.gyro), thresholds)
+            for rec in recordings]
 
 
 class TestFilterDataset:
     def test_all_stationary(self):
-        profile = profile_for_snr(12.0)
+        # With gyro noise the stationary render has a gyroscope, still unflagged.
         sig = make_class_signature("a", 2.0, 100.0, 0)
-        recs = [render_recording(sig, profile, seed=i) for i in range(5)]
-        result = filter_dataset(recs, MotionThresholds())
-        assert result.rejected_fraction == 0.0
-        assert len(result.kept) == 5
+        recs = [render_recording(sig, profile_for_snr(12.0, gyro_noise_std=noise), seed=i)
+                for i in range(5) for noise in (0.0, 0.005)]
+        assert [rec.gyro is None for rec in recs] == [True, False] * 5
+        assert not any(_flagged(recs, MotionThresholds()))
 
     def test_motion_scripted_all_flagged(self):
         profile = profile_for_snr(12.0)
@@ -80,42 +86,17 @@ class TestFilterDataset:
             script = random_motion_script(200, 100.0, seed=i,
                                           peak_rate_rad_s=(2.0, 3.0))
             recs.append(render_recording(sig, profile, motion=script, seed=i))
-        result = filter_dataset(recs, MotionThresholds())
-        assert len(result.rejected) == 5
+        assert all(_flagged(recs, MotionThresholds()))
 
     def test_vacuous_thresholds(self):
         recs = [_recording(gyro_scale=3.0, seed=i) for i in range(4)]
-        result = filter_dataset(recs, MotionThresholds(math.inf, math.inf))
-        assert result.rejected == ()
-
-    def test_mixture_fraction(self):
-        profile = profile_for_snr(12.0)
-        sig = make_class_signature("a", 2.0, 100.0, 0)
-        recs = []
-        for i in range(100):
-            script = (random_motion_script(200, 100.0, seed=i,
-                                           peak_rate_rad_s=(2.0, 3.0))
-                      if i % 5 == 0 else None)
-            recs.append(render_recording(sig, profile, motion=script, seed=i))
-        result = filter_dataset(recs, MotionThresholds())
-        assert result.rejected_fraction == pytest.approx(0.2)
-
-    def test_order_preserved(self):
-        recs = [_recording(seed=i) for i in range(6)]
-        result = filter_dataset(recs, MotionThresholds())
-        assert list(result.kept) == recs
-
-    def test_no_gyro_kept_and_counted(self):
-        recs = [_recording(seed=0, with_gyro=False), _recording(seed=1)]
-        result = filter_dataset(recs, MotionThresholds())
-        assert result.no_gyro_count == 1
-        assert len(result.kept) == 2
+        assert all(_flagged(recs, MotionThresholds()))
+        assert not any(_flagged(recs, MotionThresholds(math.inf, math.inf)))
 
     def test_monotone_in_thresholds(self):
         recs = [_recording(gyro_scale=s, seed=i)
                 for i, s in enumerate([0.0, 0.05, 0.2, 0.8, 2.0])]
-        kept_tight = set(id(r) for r in
-                         filter_dataset(recs, MotionThresholds(0.05, 0.5)).kept)
-        kept_loose = set(id(r) for r in
-                         filter_dataset(recs, MotionThresholds(0.5, 2.5)).kept)
-        assert kept_tight <= kept_loose
+        tight = _flagged(recs, MotionThresholds(0.05, 0.5))
+        loose = _flagged(recs, MotionThresholds(0.5, 2.5))
+        assert all(t or not lo for t, lo in zip(tight, loose))
+        assert sum(loose) < sum(tight)

@@ -97,6 +97,15 @@ class TestRenderRecording:
         assert rec.gyro is None
         assert np.array_equal(rec.mag, render_recording(pattern, profile, seed=0).mag)
 
+    def test_zero_rate_event_does_not_rotate(self):
+        # The sin^2 pulse scales to the event's peak rate, zero included.
+        profile = profile_for_snr(10.0, rate_hz=10.0)
+        pattern = CpuPattern(np.zeros(20), 10.0)
+        script = MotionScript((RotationEvent(5, 10, 0.0, (1.0, 0.0, 0.0)),))
+        rec = render_recording(pattern, profile, motion=script, seed=0)
+        assert rec.gyro is None
+        assert rec.mag.tobytes() == render_recording(pattern, profile, seed=0).mag.tobytes()
+
     def test_analytic_two_sample_case(self):
         profile = DeviceProfile((50.0, 0.0, 0.0), (0.0, 0.0, 1.0), 3.0, 0.0, 1.0)
         rec = render_recording(CpuPattern([0.0, 1.0], 1.0), profile, seed=0)
@@ -273,6 +282,18 @@ class TestProfileConfig:
     def test_non_finite_rotation_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):
             RotationEvent(10, 50, 2.0, (np.nan, 0.0, 0.0))
+
+    # Squaring an entry this large overflows; the check must not. Warnings
+    # are errors under pytest, so an overflow warning would fail the test.
+    HUGE = 1.3407807929942597e+154
+
+    def test_huge_coupling_entry_is_not_a_unit_vector(self):
+        with pytest.raises(ValueError, match="coupling_dir"):
+            DeviceProfile((0.0, 0.0, 50.0), (self.HUGE, 0.0, 0.0), 1.0, 1.0, 100.0)
+
+    def test_huge_axis_entry_is_not_a_unit_vector(self):
+        with pytest.raises(ValueError, match="axis"):
+            RotationEvent(10, 50, 2.0, (self.HUGE, 0.0, 0.0))
 
     def test_from_dict_with_snr(self):
         profile = profile_from_dict({"snr_db": 12.0, "noise_std": 2.0})
