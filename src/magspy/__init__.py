@@ -19,8 +19,7 @@ from .forest import (FeatureVector, ForestConfig, ForestModel,
                      split_dataset, train_forest)
 from .metrics import (ConfusionCounts, EvalReport, confusion, evaluate,
                       format_report_text, precision_recall_f1)
-from .motion import (MotionMetrics, MotionThresholds, is_disturbed,
-                     motion_metrics)
+from .motion import MotionThresholds, is_disturbed
 from .preprocess import (PcaResult, augment_with_inverse, normalize_unit_range,
                          pca_first_component, preprocess_recording, resample)
 from .simulate import (DeviceProfile, MotionScript, RotationEvent, estimate_snr,
@@ -37,20 +36,20 @@ __all__ = [
     "ActivityPattern", "ConfusionCounts", "ContinuousResult",
     "CorrelationSeries", "CpuPattern", "Dataset", "Detection", "DeviceProfile",
     "EvalReport", "ExperimentConfig", "FeatureVector", "ForestConfig",
-    "ForestModel", "MotionMetrics", "MotionScript", "MotionThresholds",
-    "MovementResult", "PcaResult", "PeakThresholds", "RotationEvent",
-    "SensorRecording", "Trace1D", "UNMONITORED_LABEL", "augment_with_inverse",
-    "average_pattern", "confusion", "cross_correlate", "cross_validate_grid",
+    "ForestModel", "MotionScript", "MotionThresholds", "MovementResult",
+    "PcaResult", "PeakThresholds", "RotationEvent", "SensorRecording",
+    "Trace1D", "UNMONITORED_LABEL", "augment_with_inverse", "average_pattern",
+    "confusion", "cross_correlate", "cross_validate_grid",
     "default_config_grid", "detect_and_classify", "estimate_snr", "evaluate",
     "extract_features", "find_peaks", "format_report_text", "is_disturbed",
     "load_device_profile", "load_model", "load_motion_script", "load_pattern",
     "load_recordings", "make_class_signature", "match_detections",
-    "motion_metrics", "normalize_unit_range", "pattern_correlation",
-    "pca_first_component", "perturb_pattern", "precision_recall_f1", "predict",
-    "predict_many", "preprocess_recording", "profile_for_snr",
-    "random_motion_script", "render_recording", "resample", "run_closed_world",
-    "run_continuous", "run_movement", "run_open_world", "run_sampling_sweep",
-    "run_scenario", "run_snr_calibration", "save_model", "save_pattern",
-    "save_recordings", "score_detections", "split_dataset",
-    "synth_square_pattern", "train_forest", "write_report",
+    "normalize_unit_range", "pattern_correlation", "pca_first_component",
+    "perturb_pattern", "precision_recall_f1", "predict", "predict_many",
+    "preprocess_recording", "profile_for_snr", "random_motion_script",
+    "render_recording", "resample", "run_closed_world", "run_continuous",
+    "run_movement", "run_open_world", "run_sampling_sweep", "run_scenario",
+    "run_snr_calibration", "save_model", "save_pattern", "save_recordings",
+    "score_detections", "split_dataset", "synth_square_pattern",
+    "train_forest", "write_report",
 ]

@@ -173,14 +173,8 @@ def _cmd_detect(args) -> int:
     per_stream = []
     for index, stream in enumerate(streams):
         series = _detect.cross_correlate(stream, pattern)
-        if model is not None:
-            detections = _detect.detect_and_classify(stream, series, thresholds,
-                                                     model, args.window_s)
-        else:
-            detections = [
-                _detect.Detection(k, float(series.values[k]))
-                for k in _detect.find_peaks(series, thresholds)
-            ]
+        detections = _detect.detect_and_classify(stream, series, thresholds, model,
+                                                 args.window_s)
         per_stream.append(detections)
         for det in detections:
             lines.append(json.dumps({

@@ -195,7 +195,7 @@ def find_peaks(series: CorrelationSeries, thresholds: PeakThresholds) -> list[in
 
 
 def detect_and_classify(stream: Trace1D, series: CorrelationSeries,
-                        thresholds: PeakThresholds, model: ForestModel,
+                        thresholds: PeakThresholds, model: ForestModel | None,
                         window_s: float = 12.0) -> list[Detection]:
     """Find peaks in a stream's correlation series, then classify a window at each.
 
@@ -203,20 +203,22 @@ def detect_and_classify(stream: Trace1D, series: CorrelationSeries,
     caller (who usually also derives ``thresholds`` from it). A window of
     ``window_s`` seconds is cut at each accepted peak, normalized, and
     featurized with the model's feature count; all windows are classified
-    in one batch. Windows extending past the stream end are dropped.
+    in one batch. Windows extending past the stream end are dropped. With
+    ``model`` None, every accepted peak is an unlabeled detection.
     """
     if series.rate_hz != stream.rate_hz:
         raise ValueError("series and stream rates differ")
     if len(series) > len(stream):
         raise ValueError("series is longer than the stream")
-    window = _round_half_up(window_s * stream.rate_hz)
-    peaks = [k for k in find_peaks(series, thresholds) if k + window <= len(stream)]
-    if not peaks:
-        return []
-    windows = [normalize_unit_range(Trace1D(stream.values[k:k + window],
-                                            stream.rate_hz, normalized=False))
-               for k in peaks]
-    labels, _ = _predict_labels(model, windows)
+    peaks = find_peaks(series, thresholds)
+    labels = [None] * len(peaks)
+    if model is not None:
+        window = _round_half_up(window_s * stream.rate_hz)
+        peaks = [k for k in peaks if k + window <= len(stream)]
+        windows = [normalize_unit_range(Trace1D(stream.values[k:k + window],
+                                                stream.rate_hz, normalized=False))
+                   for k in peaks]
+        labels = _predict_labels(model, windows)[0] if peaks else []
     return [Detection(time_index=int(k), score=float(series.values[k]),
                       predicted_label=label)
             for k, label in zip(peaks, labels)]

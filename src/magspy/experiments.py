@@ -23,13 +23,14 @@ from . import detect as _detect
 from .forest import (DEFAULT_BIN_COUNT, Dataset, FeatureVector, ForestConfig,
                      _featurize, _predict_labels, cross_validate_grid,
                      default_config_grid, split_dataset, train_forest)
-from .metrics import EvalReport, evaluate, format_report_text
-from .motion import MotionThresholds, is_disturbed, motion_metrics
-from .preprocess import preprocess_recording
-from .simulate import (DeviceProfile, _snr_gain, _stable_seed, estimate_snr,
-                       make_class_signature, pattern_correlation,
-                       perturb_pattern, profile_for_snr, profile_from_dict,
-                       random_motion_script, render_recording,
+from .metrics import (ConfusionCounts, EvalReport, evaluate, format_report_text,
+                      precision_recall_f1)
+from .motion import MotionThresholds, is_disturbed
+from .preprocess import _round_half_up, preprocess_recording
+from .simulate import (_MAX_SAMPLES, DeviceProfile, _check_turn, _resampled_length,
+                       _stable_seed, estimate_snr, make_class_signature,
+                       pattern_correlation, perturb_pattern, profile_for_snr,
+                       profile_from_dict, random_motion_script, render_recording,
                        synth_square_pattern)
 from .traces import (UNMONITORED_LABEL, CpuPattern, SensorRecording, Trace1D,
                      _check_count, _check_real, _from_dict)
@@ -115,11 +116,11 @@ class ExperimentConfig:
         if self.scenario not in _SCENARIOS:
             raise ValueError(f"scenario must be one of {_SCENARIOS}")
         _check_count("seed", self.seed)
-        for name in ("class_count", "traces_per_class", "stream_count",
-                     "background_traces_each", "cv_folds", "bin_count"):
+        for name in ("class_count", "traces_per_class", "stream_count", "cv_folds",
+                     "background_traces_each", "bin_count", "calibration_cycles"):
             _check_count(name, getattr(self, name), 1)
         for name in ("monitored_count", "unmonitored_train_count",
-                     "background_count", "distractor_count", "calibration_cycles"):
+                     "background_count", "distractor_count"):
             _check_count(name, getattr(self, name), 0)
         for name in ("height_sigma", "prominence_sigma", "snr_db"):
             _check_real(name, getattr(self, name))
@@ -139,22 +140,35 @@ class ExperimentConfig:
             _check_real("gains", gain, 0.0)
         if self.scenario == "open-world" and self.monitored_count > self.class_count:
             raise ValueError("monitored_count cannot exceed class_count")
-        if not self.device_profiles:
-            _snr_gain(self.snr_db, self.noise_std)  # the gain must be finite
-        if (self.scenario == "continuous"
-                and self.distractor_count > self.class_count - 1):
+        device_rates = [p.rate_hz for p in self.resolved_profiles()]  # checks the gain
+        if self.scenario == "continuous" and self.distractor_count >= self.class_count:
             raise ValueError(f"distractor_count {self.distractor_count} exceeds the "
                              f"{self.class_count - 1} classes other than the target")
-        # The largest drawn rate is 1.5 * motion_peak_rate (see run_movement);
-        # past pi rad per sample the rendered rotation aliases.
-        if (self.scenario == "movement"
-                and 1.5 * self.motion_peak_rate / self.rate_hz > np.pi):
-            raise ValueError(f"motion_peak_rate {self.motion_peak_rate} turns the device "
-                             f"more than pi rad per sample at rate_hz {self.rate_hz}")
+        if self.scenario == "movement":  # the largest rate run_movement draws
+            _check_turn("motion_peak_rate", 1.5 * self.motion_peak_rate, self.rate_hz)
         # These runners check it again as they start, for library calls; here
         # it fails such a config before simulate or train render anything.
         if self.scenario in ("sweep", "continuous", "movement"):
             _check_device_rate(self, self.scenario)
+        # Each signal the scenario renders must hold the samples its code needs,
+        # also as rendered at every device rate, and at most _MAX_SAMPLES.
+        def check(fields: str, seconds: float, need: int = 2, count=round, times=1):
+            n = times * count(min(seconds * self.rate_hz, _MAX_SAMPLES + 1))  # no inf
+            lengths = [_resampled_length(n, self.rate_hz, r) for r in device_rates]
+            if n < 1 or min(lengths) < need or max(lengths + [n]) > _MAX_SAMPLES:
+                raise ValueError(f"{fields} give a signal outside {need} to {_MAX_SAMPLES} "
+                                 "samples at rate_hz or at a device rate")
+            return n
+
+        n = check("duration_s and rate_hz", self.duration_s)
+        if self.scenario == "continuous":
+            check("stream_s", self.stream_s, (1 + self.distractor_count) * n)
+            check("window_s", self.window_s, max(2, min(self.bin_count, n)), _round_half_up)
+        if self.scenario == "snr":  # 2 s of load, then 2 s idle, per cycle
+            check("calibration_cycles", 2.0, times=2 * self.calibration_cycles)
+        if self.scenario == "sweep" and any(  # one sample left, as resample counts
+                _round_half_up(min(self.rate_hz / rate, n)) >= n for rate in self.rates):
+            raise ValueError("a rates entry leaves traces of one sample")
 
     def resolved_profiles(self) -> tuple[DeviceProfile, ...]:
         if self.device_profiles:
@@ -457,8 +471,6 @@ def _detect_in_streams(cfg: ExperimentConfig,
 
     sig_len = len(core.traces[0])
     stream_len = int(round(cfg.stream_s * rate))
-    if stream_len < sig_len:
-        raise ValueError("stream shorter than one signature")
     width_samples = max(1, int(round(cfg.min_width_s * rate)))
 
     signatures = {class_id: make_class_signature(class_id, cfg.duration_s, rate,
@@ -504,8 +516,7 @@ def _detect_in_streams(cfg: ExperimentConfig,
         fn += len(truth) - len(matches)
         label_hits.extend(det.predicted_label == label for det, (_, label) in matches)
 
-    precision = tp / (tp + fp) if tp + fp else None
-    recall = tp / (tp + fn) if tp + fn else None
+    precision, recall, _ = precision_recall_f1(ConfusionCounts(tp, fp, fn))
     classify_accuracy = float(np.mean(label_hits)) if label_hits else None
     return ContinuousResult(
         detection_precision=precision,
@@ -579,9 +590,7 @@ def run_movement(cfg: ExperimentConfig) -> MovementResult:
                 pattern, profiles[j % len(profiles)], motion=script,
                 seed=_child_seed(cfg.seed, "motion-render", slot), label=label)
             test_traces[slot] = preprocess_recording(rec)
-        # A recording without a gyroscope has no rotation: it is never flagged.
-        flagged[slot] = (rec.gyro is not None and is_disturbed(
-            motion_metrics(rec.gyro), cfg.motion_thresholds))
+        flagged[slot] = is_disturbed(rec.gyro, cfg.motion_thresholds)
 
     predicted, _ = _predict_labels(core.model, test_traces)
     correct = np.asarray([p == label for p, label in zip(predicted, test_labels)])

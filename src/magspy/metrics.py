@@ -18,11 +18,9 @@ class ConfusionCounts:
     tp: int
     fp: int
     fn: int
-    tn: int | None = None
 
     def __post_init__(self):
-        counts = [self.tp, self.fp, self.fn] + ([self.tn] if self.tn is not None else [])
-        if any(c < 0 for c in counts):
+        if min(self.tp, self.fp, self.fn) < 0:
             raise ValueError("counts must be non-negative")
 
 
@@ -37,14 +35,12 @@ def confusion(pairs, class_names) -> tuple[np.ndarray, dict[str, ConfusionCounts
         if predicted not in index:
             raise ValueError(f"unknown predicted label {predicted!r}")
         matrix[index[true], index[predicted]] += 1
-    total = int(matrix.sum())
     per_class = {}
     for name, i in index.items():
         tp = int(matrix[i, i])
         fp = int(matrix[:, i].sum()) - tp
         fn = int(matrix[i, :].sum()) - tp
-        per_class[name] = ConfusionCounts(tp=tp, fp=fp, fn=fn,
-                                          tn=total - tp - fp - fn)
+        per_class[name] = ConfusionCounts(tp=tp, fp=fp, fn=fn)
     return matrix, per_class
 
 

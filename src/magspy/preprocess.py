@@ -61,6 +61,7 @@ def _principal_axis(cov: np.ndarray, lam: tuple[float, float, float]) -> np.ndar
     scale = max(abs(lam[0]), 1.0)
     if norm <= 1e-18 * scale * scale * scale:
         # Near-degenerate leading pair: fall back to plain power iteration.
+        # On samples scaled into (-1, 1), lam[0] < 6: the bound is < 2.2e-16.
         v = np.full(3, 1.0 / math.sqrt(3.0))
         for _ in range(512):
             w = cov @ v
@@ -89,7 +90,10 @@ def pca_first_component(mag, rate_hz: float = 1.0) -> PcaResult:
         raise ValueError("need at least 2 samples")
     mean = x.mean(axis=0)
     y = x - mean
-    cov = (y.T @ y) / (n - 1)
+    # Solve on the samples scaled by a power of two into (-1, 1), so that no
+    # product overflows; the scaling is exact (see _principal_axis for the bound).
+    s = np.ldexp(y, -np.frexp(np.abs(y).max())[1])
+    cov = (s.T @ s) / (n - 1)
     lam = _sym3_eigenvalues(cov)
     lam_pos = [max(v, 0.0) for v in lam]
     total = sum(lam_pos)

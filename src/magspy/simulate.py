@@ -36,6 +36,8 @@ DEFAULT_COUPLING_DIR = (0.36, 0.48, 0.8)
 _ENV_FLOOR = 0.30
 _ENV_AMPLITUDE = 0.45
 _ENV_TAU_S = 3.0
+#: The most samples a config may render in one signal (stock configs: 10^4).
+_MAX_SAMPLES = 10 ** 6
 
 
 def _stable_seed(*parts) -> int:
@@ -73,11 +75,9 @@ class DeviceProfile:
         coupling = _vector3("coupling_dir", self.coupling_dir, unit=True)
         for name in ("gain", "noise_std", "gyro_noise_std"):
             _check_real(name, getattr(self, name), 0.0)
+            object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "baseline_field", baseline)
         object.__setattr__(self, "coupling_dir", coupling)
-        object.__setattr__(self, "gain", float(self.gain))
-        object.__setattr__(self, "noise_std", float(self.noise_std))
-        object.__setattr__(self, "gyro_noise_std", float(self.gyro_noise_std))
         object.__setattr__(self, "rate_hz", _positive_rate(self.rate_hz))
 
 
@@ -107,23 +107,21 @@ class MotionScript:
         object.__setattr__(self, "rotation_events", tuple(self.rotation_events))
 
 
-def profile_for_snr(snr_db: float, *, noise_std: float = 1.0, rate_hz: float = 100.0,
-                    baseline_field=DEFAULT_BASELINE_FIELD,
-                    coupling_dir=DEFAULT_COUPLING_DIR,
-                    gyro_noise_std: float = 0.0) -> DeviceProfile:
+def profile_for_snr(snr_db: float, **fields) -> DeviceProfile:
     """Build a profile whose square-pattern calibration SNR is ``snr_db``.
 
-    Under the linear coupling model the calibration amplitude equals the
-    gain, so gain = noise_std * 10**(snr_db / 20).
+    ``fields`` are the other fields of a device profile document, with its
+    defaults (see :func:`profile_from_dict`). Under the linear coupling
+    model the calibration amplitude equals the gain, so gain = noise_std *
+    10**(snr_db / 20).
     """
-    return DeviceProfile(baseline_field, coupling_dir, _snr_gain(snr_db, noise_std),
-                         noise_std, rate_hz, gyro_noise_std=gyro_noise_std)
+    return profile_from_dict({**fields, "snr_db": snr_db})
 
 
 def _snr_gain(snr_db, noise_std) -> float:
-    """noise_std * 10**(snr_db / 20), which must be finite."""
+    """noise_std * 10**(snr_db / 20), which must be finite, for noise_std > 0."""
     _check_real("snr_db", snr_db)
-    _check_real("noise_std", noise_std, 0.0)
+    _check_real("noise_std", noise_std, 0.0, exclusive=True)
     try:
         gain = noise_std * 10.0 ** (snr_db / 20.0)
     except OverflowError:
@@ -256,14 +254,25 @@ def perturb_pattern(cpu: CpuPattern, seed: int, *, start_jitter_s: float = 0.0,
     return CpuPattern(np.clip(out, 0.0, 1.0), cpu.rate_hz)
 
 
+def _resampled_length(n_src: int, src_rate: float, dst_rate: float) -> int:
+    """How many samples :func:`_resample_linear` makes of ``n_src`` at ``dst_rate``."""
+    return n_src if src_rate == dst_rate else max(1, round(n_src * dst_rate / src_rate))
+
+
 def _resample_linear(values: np.ndarray, src_rate: float, dst_rate: float) -> np.ndarray:
     if src_rate == dst_rate:
         return np.asarray(values, dtype=np.float64)
     n_src = len(values)
-    n_dst = max(1, int(round(n_src * dst_rate / src_rate)))
-    t_dst = np.arange(n_dst) / dst_rate
+    t_dst = np.arange(_resampled_length(n_src, src_rate, dst_rate)) / dst_rate
     t_src = np.arange(n_src) / src_rate
     return np.interp(t_dst, t_src, values)
+
+
+def _check_turn(name: str, rate_rad_s: float, rate_hz: float) -> None:
+    """Reject a rotation rate past pi rad per sample, where the rotation aliases."""
+    if rate_rad_s / rate_hz > math.pi:
+        raise ValueError(f"{name} gives {rate_rad_s} rad/s, over pi rad per sample "
+                         f"at rate_hz {rate_hz}")
 
 
 def _rotation_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -296,6 +305,7 @@ def render_recording(cpu: CpuPattern, device: DeviceProfile,
     rate_vec = np.zeros((n, 3))
     if motion is not None:
         for ev in motion.rotation_events:
+            _check_turn("peak_rate_rad_s", ev.peak_rate_rad_s, device.rate_hz)
             end = ev.start_index + ev.duration_samples
             if end > n:
                 raise ValueError("rotation event extends past the recording")
@@ -328,10 +338,12 @@ def render_recording(cpu: CpuPattern, device: DeviceProfile,
                            gyro=gyro, label=label, meta=meta or {})
 
 
-def _aligned_reference(recording: SensorRecording, reference: CpuPattern) -> np.ndarray:
+def _aligned(recording: SensorRecording, reference: CpuPattern) -> tuple:
+    """The projected trace and the reference at its rate, cut to a common length."""
     ref = _resample_linear(reference.values, reference.rate_hz, recording.rate_hz)
-    length = min(len(recording), len(ref))
-    return ref[:length]
+    trace = pca_first_component(recording.mag, recording.rate_hz).projected.values
+    length = min(len(trace), len(ref))
+    return trace[:length], ref[:length]
 
 
 def estimate_snr(recording: SensorRecording, reference: CpuPattern) -> float:
@@ -342,13 +354,11 @@ def estimate_snr(recording: SensorRecording, reference: CpuPattern) -> float:
     trace between the two regimes and sigma the idle-sample standard
     deviation. Returns +inf when the idle segment is exactly noiseless.
     """
-    ref = _aligned_reference(recording, reference)
+    trace, ref = _aligned(recording, reference)
     high = ref >= 0.5
     idle = ~high
     if not high.any() or not idle.any():
         raise ValueError("reference must contain both high-load and idle samples")
-    trace = pca_first_component(recording.mag, recording.rate_hz).projected.values
-    trace = trace[:len(ref)]
     amplitude = abs(float(trace[high].mean()) - float(trace[idle].mean()))
     sigma = float(trace[idle].std())
     if sigma == 0.0:
@@ -364,9 +374,7 @@ def pattern_correlation(recording: SensorRecording, reference: CpuPattern) -> fl
     The absolute value is returned because the sign of the principal
     component is arbitrary.
     """
-    ref = _aligned_reference(recording, reference)
-    trace = pca_first_component(recording.mag, recording.rate_hz).projected.values
-    trace = trace[:len(ref)]
+    trace, ref = _aligned(recording, reference)
     a = trace - trace.mean()
     b = ref - ref.mean()
     denom = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
@@ -376,15 +384,13 @@ def pattern_correlation(recording: SensorRecording, reference: CpuPattern) -> fl
 
 
 def random_motion_script(n_samples: int, rate_hz: float, seed: int, *,
-                         n_events: tuple[int, int] = (2, 4),
-                         peak_rate_rad_s: tuple[float, float] = (1.5, 3.0),
-                         event_s: tuple[float, float] = (0.3, 0.8)) -> MotionScript:
-    """Random hand-held-style jitter: a few smooth rotation pulses."""
+                         peak_rate_rad_s: tuple = (1.5, 3.0)) -> MotionScript:
+    """Random hand-held-style jitter: 2 to 4 smooth rotation pulses of 0.3 to 0.8 s."""
     rng = np.random.default_rng(_stable_seed("motion", seed))
-    count = int(rng.integers(n_events[0], n_events[1] + 1))
+    count = int(rng.integers(2, 5))
     events = []
     for _ in range(count):
-        dur = max(2, int(round(rng.uniform(*event_s) * rate_hz)))
+        dur = max(2, int(round(rng.uniform(0.3, 0.8) * rate_hz)))
         dur = min(dur, n_samples)
         start = int(rng.integers(0, max(1, n_samples - dur + 1)))
         peak = float(rng.uniform(*peak_rate_rad_s))
@@ -398,7 +404,7 @@ def random_motion_script(n_samples: int, rate_hz: float, seed: int, *,
 # JSON config documents for profiles and motion scripts
 # ---------------------------------------------------------------------------
 
-# Fields a device profile document may leave out, as in profile_for_snr.
+# Fields a device profile document may leave out.
 _PROFILE_DEFAULTS = dict(baseline_field=DEFAULT_BASELINE_FIELD,
                          coupling_dir=DEFAULT_COUPLING_DIR, noise_std=1.0, rate_hz=100.0)
 

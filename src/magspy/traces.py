@@ -147,10 +147,6 @@ class SensorRecording:
     def __len__(self) -> int:
         return self.mag.shape[0]
 
-    @property
-    def duration_s(self) -> float:
-        return len(self) / self.rate_hz
-
 
 @dataclass(frozen=True, eq=False)
 class _Series:

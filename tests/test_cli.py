@@ -249,6 +249,25 @@ class TestSimulateTrainClassify:
         assert "line 2" in capsys.readouterr().err
         assert not (tmp_path / "pred").exists()
 
+    def test_classify_recording_of_huge_samples(self, tmp_path, capsys):
+        # Samples near 1e22 uT used to overflow in the PCA. Scaled by 2^70,
+        # a recording reduces to the same trace, so its prediction line stays.
+        config = write_config(tmp_path, class_count=2, traces_per_class=3, duration_s=2.0,
+                              forest={"n_estimators": 3})
+        sim, model = tmp_path / "sim", tmp_path / "model"
+        assert main(["simulate", "--config", config, "--out", str(sim)]) == 0
+        assert main(["train", "--config", config, "--data", str(sim / "recordings.jsonl"),
+                     "--out", str(model)]) == 0
+        rec = load_recordings(sim / "recordings.jsonl")[0]
+        lines = []
+        for scale in (1.0, 2.0 ** 70):
+            save_recordings([replace(rec, mag=rec.mag * scale)], tmp_path / "one.jsonl")
+            capsys.readouterr()
+            assert main(["classify", "--model", str(model / "model.json"),
+                         "--data", str(tmp_path / "one.jsonl")]) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1]
+
     def test_classify_to_stdout(self, tmp_path, capsys):
         config = write_config(tmp_path)
         sim_dir = tmp_path / "sim"
@@ -485,6 +504,19 @@ class TestDetectCommand:
         recs = load_recordings(sim_dir / "recordings.jsonl")
         assert all(np.linalg.norm(r.gyro, axis=1).max() > 1.9 for r in recs)
 
+    def test_simulate_rejects_a_motion_event_over_pi_per_sample(self, tmp_path, capsys):
+        # It used to overflow in the rotation, warn, then fail in math.sin(inf).
+        config = write_config(tmp_path, class_count=2, traces_per_class=1, duration_s=2.0)
+        script = tmp_path / "motion.json"
+        script.write_text(json.dumps({"rotation_events": [
+            {"start_index": 10, "duration_samples": 50,
+             "peak_rate_rad_s": 1e200, "axis": [0.0, 0.0, 1.0]}]}))
+        out_dir = tmp_path / "sim"
+        assert main(["simulate", "--config", config, "--out", str(out_dir),
+                     "--motion-script", str(script)]) == 1
+        assert "peak_rate_rad_s" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_simulate_writes_gyro_only_with_rotation(self, tmp_path, capsys):
         # Without rotation or gyro noise a recording has no gyroscope channel.
         config = write_config(tmp_path, class_count=2, traces_per_class=2)
@@ -544,6 +576,16 @@ class TestEvalCommand:
         payload = json.loads((out_dir / "report.json").read_text())
         assert payload["scenario"] == "closed-world"
         assert (out_dir / "report.txt").exists()
+
+    @pytest.mark.parametrize("field, value", [("snr_db", 400.0), ("noise_std", 1e300)])
+    def test_eval_of_huge_finite_samples(self, tmp_path, capsys, field, value):
+        # The PCA used to overflow on such samples, warn, then fail with a
+        # false "constant trace". Warnings are errors here.
+        config = write_config(tmp_path, class_count=3, traces_per_class=4, duration_s=2.0,
+                              forest={"n_estimators": 3}, **{field: value})
+        assert main(["eval", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert 0.0 <= report["report"]["accuracy"] <= 1.0
 
     def test_threads_flag_is_accepted_and_changes_nothing(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -613,6 +655,11 @@ class TestEvalCommand:
 
 
 class TestExitCodes:
+    # 3 classes x 4 traces of 2 s and 3 trees, the scale the bounds below
+    # were found at.
+    SMALL = ('"class_count": 3, "traces_per_class": 4, "duration_s": 2.0, '
+             '"forest": {"n_estimators": 3}')
+
     @pytest.mark.parametrize("kind, doc", [
         ("motion-script", '{"rotation_events": [{"start_index": 50, '
          '"duration_samples": 100, "peak_rate_rad_s": NaN, "axis": [0, 0, 1]}]}'),
@@ -656,6 +703,21 @@ class TestExitCodes:
          '"device_profiles": [{"snr_db": 12.0}]}'),
         ("config", '{"scenario": "movement", "device_profiles": '
          '[{"snr_db": 12.0}, {"snr_db": 12.0, "rate_hz": 200.0}]}'),
+        # Configs that load but cannot render: each is rejected at load.
+        ("config", '{"class_count": 3, "traces_per_class": 4, "duration_s": 1e9}'),
+        ("config", f'{{{SMALL}, "rate_hz": 0.001}}'),
+        ("config", '{"class_count": 3, "traces_per_class": 4, "duration_s": 0.001}'),
+        ("config", f'{{{SMALL}, "rate_hz": 0.6}}'),
+        ("config", f'{{{SMALL}, "device_profiles": [{{"snr_db": 12.0, "rate_hz": 0.4}}]}}'),
+        ("config", f'{{{SMALL}, "device_profiles": [{{"snr_db": 12.0, "rate_hz": 1e6}}]}}'),
+        ("config", f'{{{SMALL}, "scenario": "sweep", "rates": [100, 1e-9]}}'),
+        ("config", f'{{{SMALL}, "scenario": "snr", "calibration_cycles": 0}}'),
+        ("config", '{"scenario": "snr", "rate_hz": 0.2, "duration_s": 20}'),
+        ("config", f'{{{SMALL}, "noise_std": 0}}'),
+        ("config", f'{{{SMALL}, "scenario": "continuous", "window_s": 0.001}}'),
+        ("config", f'{{{SMALL}, "scenario": "continuous", "stream_s": 2.5, '
+         '"distractor_count": 1}'),
+        ("config", f'{{{SMALL}, "scenario": "continuous", "stream_s": 1e5}}'),
     ], ids=["nan-peak-rate", "fractional-start-index", "bool-start-index",
             "bool-duration", "bool-peak-rate", "nan-axis", "string-gain",
             "nan-noise-std", "bool-gain", "nan-coupling-dir", "inf-baseline-field",
@@ -665,7 +727,11 @@ class TestExitCodes:
             "false-forest", "zero-grid", "empty-string-grid",
             "empty-string-thresholds", "false-profiles", "empty-string-profiles",
             "sweep-profile-rate", "continuous-profile-rate",
-            "movement-profile-rate"])
+            "movement-profile-rate", "huge-duration", "tiny-rate", "tiny-duration",
+            "one-sample-trace", "one-sample-at-profile-rate", "huge-profile-rate",
+            "one-sample-sweep-rate", "no-calibration-cycles", "calibration-too-short",
+            "noiseless-snr-profile", "empty-window", "embeds-overflow-stream",
+            "huge-stream"])
     def test_bad_outside_document_is_validation_error(self, tmp_path, capsys,
                                                       monkeypatch, kind, doc):
         # Every document is read and checked before the first recording.

@@ -337,6 +337,21 @@ class TestDetectAndClassify:
                                   PeakThresholds(-10.0, 0.0, 1), model, window_s=15.0)
         assert all(d.time_index + 15 <= 30 for d in out)
 
+    def test_without_model_every_peak_is_unlabeled(self):
+        # No window is cut, so a peak whose window would overrun the stream
+        # end stays.
+        template = np.concatenate([np.zeros(5), np.ones(5)])
+        stream_values = np.zeros(30)
+        stream_values[22:27] += 1.0
+        stream = Trace1D(stream_values, 1.0)
+        pattern = ActivityPattern(template - template.mean(), 1.0, "A")
+        series = cross_correlate(stream, pattern)
+        thresholds = PeakThresholds(-10.0, 0.0, 1)
+        peaks = find_peaks(series, thresholds)
+        assert any(k + 15 > len(stream) for k in peaks)
+        out = detect_and_classify(stream, series, thresholds, None, window_s=15.0)
+        assert out == [Detection(k, float(series.values[k])) for k in peaks]
+
     def test_series_must_belong_to_the_stream(self):
         template = np.concatenate([np.zeros(5), np.ones(5)])
         model = self._model(template, 1.0 - template)

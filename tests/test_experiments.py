@@ -92,6 +92,45 @@ class TestExperimentConfig:
     def test_negative_seed_is_valid(self):
         assert ExperimentConfig.from_dict({"seed": -3}).seed == -3
 
+    @pytest.mark.parametrize("field, doc", [
+        ("duration_s", {"duration_s": 1e9}),
+        ("duration_s", {"duration_s": 1e300, "rate_hz": 1e300}),
+        ("rate_hz", {"rate_hz": 0.6}),
+        ("duration_s", {"device_profiles": [{"snr_db": 12.0, "rate_hz": 0.4}]}),
+        ("rates", {"scenario": "sweep", "rates": [100.0, 1e-9]}),
+        ("rates", {"scenario": "sweep", "rates": [100.0, 1e-320]}),
+        ("calibration_cycles", {"scenario": "snr", "calibration_cycles": 0}),
+        ("calibration_cycles", {"scenario": "snr", "rate_hz": 0.2, "duration_s": 20.0}),
+        ("calibration_cycles", {"scenario": "snr", "calibration_cycles": 10 ** 6}),
+        ("noise_std", {"noise_std": 0.0}),
+        ("window_s", {"scenario": "continuous", "window_s": 0.001}),
+        ("window_s", {"scenario": "continuous", "window_s": 1e308}),
+        ("stream_s", {"scenario": "continuous", "stream_s": 2.5, "distractor_count": 1}),
+        ("stream_s", {"scenario": "continuous", "stream_s": 1e5}),
+    ], ids=["huge-duration", "overflowing-duration", "one-sample-trace",
+            "one-sample-at-profile-rate", "one-sample-sweep-rate", "subnormal-sweep-rate",
+            "no-calibration-cycles", "calibration-too-short", "huge-calibration",
+            "noiseless-snr-profile", "empty-window", "overflowing-window",
+            "embeds-overflow-stream", "huge-stream"])
+    def test_config_that_cannot_render_names_the_field(self, field, doc):
+        # 3 classes x 4 traces of 2 s: each of these used to load, then hang
+        # or fail at run time.
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig.from_dict({"class_count": 3, "traces_per_class": 4,
+                                        "duration_s": 2.0, **doc})
+
+    @pytest.mark.parametrize("doc", [
+        {"scenario": "continuous", "stream_s": 6.0, "distractor_count": 2},
+        {"scenario": "continuous", "window_s": 0.5},
+        {"scenario": "sweep", "rates": [100.0, 1.0]},
+        {"scenario": "snr", "rate_hz": 0.5, "duration_s": 4.0, "calibration_cycles": 1},
+        {"device_profiles": [{"snr_db": 12.0, "rate_hz": 1.0}]},
+    ], ids=["embeds-fill-stream", "window-of-50", "two-sample-sweep-rate",
+            "two-sample-calibration", "two-samples-at-profile-rate"])
+    def test_config_at_its_render_bounds_loads(self, doc):
+        ExperimentConfig.from_dict({"class_count": 3, "traces_per_class": 4,
+                                    "duration_s": 2.0, **doc})
+
 
 class TestGridSearch:
     """Every fit cross-validates ``cfg.grid`` on one plain row per training trace."""

@@ -171,3 +171,33 @@ def test_classify_and_detect_bytes(tmp_path, capsys):
         "det/scores.json":
             "c7d28aadcd16e4c9aba834b1e4d291d0077b538b1cfce541659f871d11f15854",
     }
+
+
+def test_detect_without_model_bytes(tmp_path, capsys):
+    # simulate -> train (for the pattern) -> detect --truth without --model:
+    # every accepted peak is an unlabeled detection. No window is cut, so
+    # the peaks stay although a 30 s window overruns every 20 s stream.
+    config = _cli_config(tmp_path, "config.json")
+    streams = _cli_config(tmp_path, "streams.json", class_count=2,
+                          traces_per_class=2, duration_s=20.0)
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "sim")]) == 0
+    assert main(["simulate", "--config", streams, "--out",
+                 str(tmp_path / "streams"), "--seed", "7"]) == 0
+    model = tmp_path / "model"
+    assert main(["train", "--config", config, "--data",
+                 str(tmp_path / "sim" / "recordings.jsonl"), "--out", str(model)]) == 0
+    truth = tmp_path / "truth.jsonl"
+    truth.write_text(json.dumps({"stream": 1, "time_s": 3.0}) + "\n")
+    assert main(["detect", "--pattern", str(model / "pattern_class-001.json"),
+                 "--data", str(tmp_path / "streams" / "recordings.jsonl"),
+                 "--min-height", "0", "--min-prominence", "0.5", "--window-s", "30",
+                 "--truth", str(truth), "--out", str(tmp_path / "det")]) == 0
+    rows = (tmp_path / "det" / "detections.jsonl").read_text().splitlines()
+    assert rows and all(json.loads(row)["label"] is None for row in rows)
+    assert {name: sha256(tmp_path / "det" / name)
+            for name in ("detections.jsonl", "scores.json")} == {
+        "detections.jsonl":
+            "90f969d556408ffdb661d25dfce95c77c1bc9d3c4fc444c5f55aa391fdda31a5",
+        "scores.json":
+            "bdcd7e5d5369dd189bd4550d486d39090bba38eaa94627af677f40bd994d2222",
+    }

@@ -4,56 +4,70 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from magspy.motion import (MotionMetrics, MotionThresholds, is_disturbed,
-                           motion_metrics)
+from magspy.motion import MotionThresholds, is_disturbed
 from magspy.simulate import (make_class_signature, profile_for_snr,
                              random_motion_script, render_recording)
 from magspy.traces import SensorRecording
 
 
 class TestMotionMetrics:
+    """The mean and maximum rotation-rate magnitudes that is_disturbed compares."""
+
     def test_all_zero(self):
-        m = motion_metrics(np.zeros((10, 3)))
-        assert m.mean_rate == 0.0
-        assert m.max_rate == 0.0
+        assert not is_disturbed(np.zeros((10, 3)), MotionThresholds(0.0, 0.0))
 
     def test_three_four_five(self):
-        m = motion_metrics([(3.0, 4.0, 0.0)])
-        assert m.mean_rate == 5.0
-        assert m.max_rate == 5.0
+        sample = [(3.0, 4.0, 0.0)]  # magnitude 5, so mean and max are both 5
+        below = math.nextafter(5.0, 0.0)
+        assert is_disturbed(sample, MotionThresholds(below, math.inf))
+        assert is_disturbed(sample, MotionThresholds(math.inf, below))
+        assert not is_disturbed(sample, MotionThresholds(5.0, 5.0))
 
     def test_constant_unit(self):
-        m = motion_metrics([(1.0, 0.0, 0.0)] * 5)
-        assert m.mean_rate == pytest.approx(1.0)
-        assert m.max_rate == pytest.approx(1.0)
+        gyro = [(1.0, 0.0, 0.0)] * 5
+        assert is_disturbed(gyro, MotionThresholds(0.999, math.inf))
+        assert is_disturbed(gyro, MotionThresholds(math.inf, 0.999))
+        assert not is_disturbed(gyro, MotionThresholds(1.0, 1.0))
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            motion_metrics(np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="gyro"):
+            is_disturbed(np.zeros((0, 3)), MotionThresholds())
 
-    def test_mean_le_max_invariant(self):
-        with pytest.raises(ValueError):
-            MotionMetrics(mean_rate=2.0, max_rate=1.0)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="gyro"):
+            is_disturbed([(0.0, 0.0, 0.0), (value, 0.0, 0.0)], MotionThresholds())
 
 
 class TestIsDisturbed:
     def test_still_device(self):
-        assert not is_disturbed(MotionMetrics(0.0, 0.0), MotionThresholds(0.1, 1.0))
+        assert not is_disturbed(np.zeros((4, 3)), MotionThresholds(0.1, 1.0))
 
     def test_max_criterion(self):
-        assert is_disturbed(MotionMetrics(0.01, 5.0), MotionThresholds(0.1, 1.0))
+        gyro = np.zeros((100, 3))
+        gyro[0] = (3.0, 4.0, 0.0)  # mean 0.05, max 5
+        assert is_disturbed(gyro, MotionThresholds(0.1, 1.0))
+        assert not is_disturbed(gyro, MotionThresholds(0.1, 5.0))
 
     def test_mean_criterion(self):
-        assert is_disturbed(MotionMetrics(0.2, 0.3), MotionThresholds(0.1, 1.0))
+        gyro = [(0.1, 0.0, 0.0), (0.0, 0.3, 0.0)]  # mean 0.2, max 0.3
+        assert is_disturbed(gyro, MotionThresholds(0.1, 1.0))
+        assert not is_disturbed(gyro, MotionThresholds(0.2, 1.0))
 
-    @given(st.floats(0, 2), st.floats(0, 2), st.floats(0, 2), st.floats(0, 2))
-    def test_monotone_in_thresholds(self, mean_rate, extra, mean_thr, max_thr):
-        metrics = MotionMetrics(mean_rate, mean_rate + extra)
-        loose = MotionThresholds(mean_thr + 0.5, max_thr + 0.5)
+    def test_no_gyroscope_is_never_disturbed(self):
+        assert not is_disturbed(None, MotionThresholds(0.0, 0.0))
+
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 20), st.just(3)),
+                      elements=st.floats(-3, 3)),
+           st.floats(0, 2), st.floats(0, 2), st.floats(0, 2), st.floats(0, 2))
+    def test_monotone_in_thresholds(self, gyro, mean_thr, max_thr, d_mean, d_max):
         tight = MotionThresholds(mean_thr, max_thr)
-        if not is_disturbed(metrics, tight):
-            assert not is_disturbed(metrics, loose)
+        loose = MotionThresholds(mean_thr + d_mean, max_thr + d_max)
+        if not is_disturbed(gyro, tight):
+            assert not is_disturbed(gyro, loose)
+        assert not is_disturbed(gyro, MotionThresholds(math.inf, math.inf))
 
 
 def _recording(gyro_scale=0.0, seed=0):
@@ -63,10 +77,9 @@ def _recording(gyro_scale=0.0, seed=0):
 
 
 def _flagged(recordings, thresholds):
-    """``run_movement``'s movement filter: a recording is dropped when it has
-    a gyroscope and its rotation rates are disturbed."""
-    return [rec.gyro is not None and is_disturbed(motion_metrics(rec.gyro), thresholds)
-            for rec in recordings]
+    """``run_movement``'s movement filter: a recording is dropped when its
+    gyroscope is disturbed (one without a gyroscope never is)."""
+    return [is_disturbed(rec.gyro, thresholds) for rec in recordings]
 
 
 class TestFilterDataset:

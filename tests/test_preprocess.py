@@ -38,6 +38,19 @@ class TestPcaFirstComponent:
             assert res.projected.values.var(ddof=1) == pytest.approx(
                 eigvals[-1], rel=1e-9)
 
+    @pytest.mark.parametrize("exponent", [-300, -40, 60, 660, 1000])
+    def test_power_of_two_scale_keeps_the_axis(self, exponent):
+        # The eigenproblem is solved on the samples scaled into (-1, 1) by a
+        # power of two, so finite samples of any magnitude overflow nowhere
+        # (warnings are errors here) and give the same axis, bit for bit.
+        data = np.random.default_rng(5).normal(0.0, 1.0, (400, 3)) * [3.0, 1.0, 0.5]
+        base = pca_first_component(data)
+        scaled = pca_first_component(np.ldexp(data, exponent))
+        assert scaled.component.tobytes() == base.component.tobytes()
+        assert scaled.explained_fraction == base.explained_fraction
+        assert np.array_equal(scaled.projected.values,
+                              np.ldexp(base.projected.values, exponent))
+
     def test_sign_convention(self):
         res = pca_first_component([(-1, 0, 0), (-3, 0, 0), (-2, 0, 0)])
         assert res.component[np.argmax(np.abs(res.component))] >= 0

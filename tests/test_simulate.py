@@ -150,6 +150,22 @@ class TestRenderRecording:
                              motion=script, seed=0)
 
 
+    def test_event_turning_over_pi_per_sample_rejected(self):
+        # At 8 Hz a rate of 8 pi rad/s turns the device by pi rad per sample.
+        # A huge rate used to overflow in the rotation, then fail in math.sin.
+        profile = profile_for_snr(10.0, rate_hz=8.0)
+        pattern = CpuPattern(np.zeros(40), 8.0)
+
+        def render(rate):
+            script = MotionScript((RotationEvent(5, 10, rate, (1.0, 0.0, 0.0)),))
+            return render_recording(pattern, profile, motion=script, seed=0)
+
+        assert render(8.0 * math.pi).gyro.max() == pytest.approx(8.0 * math.pi)
+        for rate in (math.nextafter(8.0 * math.pi, math.inf), 1e200):
+            with pytest.raises(ValueError, match="peak_rate_rad_s"):
+                render(rate)
+
+
 class TestEstimateSnr:
     def test_convention_20db_hand_case(self):
         # PCA trace on x only; idle samples {1,-1} (std 1), high {11,9}
@@ -298,6 +314,24 @@ class TestProfileConfig:
     def test_from_dict_with_snr(self):
         profile = profile_from_dict({"snr_db": 12.0, "noise_std": 2.0})
         assert profile.gain == pytest.approx(2.0 * 10 ** 0.6)
+
+    @pytest.mark.parametrize("fields", [
+        {}, {"noise_std": 0.5, "rate_hz": 50.0, "gyro_noise_std": 0.01},
+        {"baseline_field": [0.0, 0.0, 50.0], "coupling_dir": [0.0, 0.6, 0.8]},
+    ], ids=["defaults", "noise-and-rates", "vectors"])
+    def test_profile_for_snr_is_the_snr_document(self, fields):
+        a = profile_for_snr(12.0, **fields)
+        b = profile_from_dict({"snr_db": 12.0, **fields})
+        for name in ("baseline_field", "coupling_dir", "gain", "noise_std", "rate_hz",
+                     "gyro_noise_std"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_profile_for_snr_rejects_gain_and_zero_noise(self):
+        with pytest.raises(ValueError, match="gain"):
+            profile_for_snr(12.0, gain=3.0)
+        # A noiseless profile would get gain 0 and render a constant.
+        with pytest.raises(ValueError, match="noise_std"):
+            profile_for_snr(12.0, noise_std=0.0)
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "profile.json"
