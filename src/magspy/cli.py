@@ -15,12 +15,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import detect as _detect
-from .experiments import (ExperimentConfig, _child_seed, _class_ids, _fit,
-                          _render_items, run_scenario, write_report)
+from .experiments import (ExperimentConfig, _class_ids, _fit, _render_items,
+                          run_scenario, write_report)
 from .forest import _predict_labels, load_model, save_model
 from .metrics import evaluate, format_report_text
 from .preprocess import preprocess_recording
-from .simulate import load_device_profile, load_motion_script, render_recording
+from .simulate import load_device_profile, load_motion_script
 from .traces import (_check_count, _check_real, _from_dict, _json_lines,
                      _json_object, _read_recordings, save_recordings)
 
@@ -50,16 +50,9 @@ def _cmd_simulate(args) -> int:
         raise ValueError("simulate requires --out")
     cfg = _load_config(args.config, args.seed, args.device_profile)
     script = load_motion_script(args.motion_script) if args.motion_script else None
-    profiles = cfg.resolved_profiles()
-    class_ids = _class_ids("class", cfg.class_count)
-    recordings = []
-    for i, (label, p_idx, pattern, rec) in enumerate(_render_items(
-            cfg, class_ids, cfg.traces_per_class, profiles, "cw")):
-        if script is not None:
-            rec = render_recording(pattern, profiles[p_idx], motion=script,
-                                   seed=_child_seed(cfg.seed, "motion-script", i),
-                                   device_id=f"device-{p_idx}", label=label)
-        recordings.append(rec)
+    recordings = [rec for _, _, rec in _render_items(
+        cfg, _class_ids("class", cfg.class_count), cfg.traces_per_class,
+        cfg.resolved_profiles(), "cw", script)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_recordings(recordings, out / "recordings.jsonl")
@@ -226,10 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Magnetometer side-channel fingerprinting toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=False):
-        p.add_argument("--config", required=config_required,
-                       help="experiment config JSON")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+    def common(p, config=True, config_required=False):
+        if config:  # only commands that build an ExperimentConfig read these
+            p.add_argument("--config", required=config_required,
+                           help="experiment config JSON")
+            p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--threads", type=int, default=1,
                        help="ignored; kept so existing command lines still parse")
@@ -249,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("classify", help="classify recordings with a trained model")
-    common(p)
+    common(p, config=False)
     p.add_argument("--model", required=True, help="model JSON")
     p.add_argument("--data", required=True, help="recordings JSONL")
     p.add_argument("--rate", type=float, default=None,
@@ -257,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("detect", help="scan streams for an activity pattern")
-    common(p)
+    common(p, config=False)
     p.add_argument("--pattern", required=True, help="activity pattern JSON")
     p.add_argument("--data", required=True, help="stream recordings JSONL")
     p.add_argument("--model", default=None, help="classify at peaks with this model")

@@ -15,6 +15,7 @@ one, which therefore keeps the larger prominence.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -210,10 +211,15 @@ def detect_and_classify(stream: Trace1D, series: CorrelationSeries,
         raise ValueError("series and stream rates differ")
     if len(series) > len(stream):
         raise ValueError("series is longer than the stream")
+    if model is not None:  # the window must hold the model's features
+        window, need = window_s * stream.rate_hz, max(2, model.n_features)
+        window = _round_half_up(window) if math.isfinite(window) else 0
+        if window < need:
+            raise ValueError(f"window_s {window_s} must cut a finite window of at "
+                             f"least {need} samples at {stream.rate_hz} Hz")
     peaks = find_peaks(series, thresholds)
     labels = [None] * len(peaks)
     if model is not None:
-        window = _round_half_up(window_s * stream.rate_hz)
         peaks = [k for k in peaks if k + window <= len(stream)]
         windows = [normalize_unit_range(Trace1D(stream.values[k:k + window],
                                                 stream.rate_hz, normalized=False))

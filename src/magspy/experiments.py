@@ -27,11 +27,11 @@ from .metrics import (ConfusionCounts, EvalReport, evaluate, format_report_text,
                       precision_recall_f1)
 from .motion import MotionThresholds, is_disturbed
 from .preprocess import _round_half_up, preprocess_recording
-from .simulate import (_MAX_SAMPLES, DeviceProfile, _check_turn, _resampled_length,
-                       _stable_seed, estimate_snr, make_class_signature,
-                       pattern_correlation, perturb_pattern, profile_for_snr,
-                       profile_from_dict, random_motion_script, render_recording,
-                       synth_square_pattern)
+from .simulate import (_MAX_SAMPLES, DeviceProfile, MotionScript, _check_turn,
+                       _resampled_length, _stable_seed, estimate_snr,
+                       make_class_signature, pattern_correlation, perturb_pattern,
+                       profile_for_snr, profile_from_dict, random_motion_script,
+                       render_recording, synth_square_pattern)
 from .traces import (UNMONITORED_LABEL, CpuPattern, SensorRecording, Trace1D,
                      _check_count, _check_real, _from_dict)
 
@@ -205,38 +205,43 @@ def _class_ids(prefix: str, count: int) -> list[str]:
 
 
 def _render_item(cfg: ExperimentConfig, salt: str, class_id: str, j: int, *,
-                 profiles, signature: CpuPattern) -> tuple[CpuPattern, SensorRecording]:
-    """Render trace ``j`` of ``class_id`` from its class signature: (pattern, recording).
+                 profiles, signature: CpuPattern, motion: MotionScript | None = None,
+                 seed: int | None = None) -> SensorRecording:
+    """Render trace ``j`` of ``class_id`` from its class signature.
 
     The seeds depend only on ``(cfg.seed, salt, class_id, j)``, so an item
     renders the same bytes however often, and in whatever order, it is
-    rendered.
+    rendered. A ``motion`` script renders that pattern at ``seed``, no meta.
     """
     pattern = perturb_pattern(
         signature, _child_seed(cfg.seed, salt, "perturb", class_id, j),
         start_jitter_s=cfg.start_jitter_s, time_warp=cfg.time_warp,
         level_jitter=cfg.level_jitter, background_drift=cfg.background_drift)
     p_idx = j % len(profiles)
-    return pattern, render_recording(
-        pattern, profiles[p_idx],
-        seed=_child_seed(cfg.seed, salt, "render", class_id, j),
-        device_id=f"device-{p_idx}", label=class_id, meta={"trace": str(j)})
+    meta = None
+    if motion is None:
+        seed, meta = _child_seed(cfg.seed, salt, "render", class_id, j), {"trace": str(j)}
+    return render_recording(pattern, profiles[p_idx], motion=motion, seed=seed,
+                            device_id=f"device-{p_idx}", label=class_id, meta=meta)
 
 
 def _render_items(cfg: ExperimentConfig, class_ids, traces_per_class: int,
-                  profiles, salt: str):
-    """Yield ``(class_id, profile index, pattern, recording)`` class by class.
+                  profiles, salt: str, motion: MotionScript | None = None):
+    """Yield ``(class_id, profile index, recording)`` class by class.
 
     Items come one at a time so that callers can reduce each recording and
-    drop it before the next one is rendered.
+    drop it before the next one is rendered. A ``motion`` script renders item
+    ``i`` at ``_child_seed(cfg.seed, "motion-script", i)``.
     """
-    for class_id in class_ids:
+    for c, class_id in enumerate(class_ids):
         signature = make_class_signature(class_id, cfg.duration_s, cfg.rate_hz,
                                          cfg.seed)
         for j in range(traces_per_class):
+            seed = (None if motion is None else
+                    _child_seed(cfg.seed, "motion-script", c * traces_per_class + j))
             yield (class_id, j % len(profiles),
-                   *_render_item(cfg, salt, class_id, j, profiles=profiles,
-                                 signature=signature))
+                   _render_item(cfg, salt, class_id, j, profiles=profiles,
+                                signature=signature, motion=motion, seed=seed))
 
 
 def _render_class_traces(cfg: ExperimentConfig, class_ids, traces_per_class: int,
@@ -248,8 +253,8 @@ def _render_class_traces(cfg: ExperimentConfig, class_ids, traces_per_class: int
     traces: list[Trace1D] = []
     labels: list[str] = []
     profile_ids: list[int] = []
-    for class_id, p_idx, _, rec in _render_items(cfg, class_ids, traces_per_class,
-                                                 profiles, salt):
+    for class_id, p_idx, rec in _render_items(cfg, class_ids, traces_per_class,
+                                              profiles, salt):
         traces.append(preprocess_recording(rec))
         labels.append(class_id)
         profile_ids.append(p_idx)
@@ -414,8 +419,8 @@ def run_sampling_sweep(cfg: ExperimentConfig) -> list[tuple[float, float]]:
     class_ids = _class_ids("class", cfg.class_count)
     by_rate: dict[float, list[Trace1D]] = {rate: [] for rate in cfg.rates}
     labels: list[str] = []
-    for class_id, _, _, rec in _render_items(cfg, class_ids, cfg.traces_per_class,
-                                             cfg.resolved_profiles(), "cw"):
+    for class_id, _, rec in _render_items(cfg, class_ids, cfg.traces_per_class,
+                                          cfg.resolved_profiles(), "cw"):
         for rate, traces in by_rate.items():
             traces.append(preprocess_recording(
                 rec, None if rate == cfg.rate_hz else rate))
@@ -573,22 +578,23 @@ def run_movement(cfg: ExperimentConfig) -> MovementResult:
     motion_mask = np.zeros(n_test, dtype=bool)
     motion_mask[rng.choice(n_test, size=n_motion, replace=False)] = True
 
-    # Re-render the stationary test recordings, the motion slots with rotation
+    # Render each test recording once more, a motion slot's with rotation
     # pulses on the same CPU pattern; flag each by its gyroscope, then drop it.
     test_traces, test_labels = _take(core.traces, core.test_items)
+    signatures = {label: make_class_signature(label, cfg.duration_s, rate, cfg.seed)
+                  for label in set(test_labels)}
     flagged = np.zeros(n_test, dtype=bool)
     for slot, (idx, label) in enumerate(core.test_items):
-        j = idx % cfg.traces_per_class  # items are rendered class by class
-        pattern, rec = _render_item(
-            cfg, "cw", label, j, profiles=profiles,
-            signature=make_class_signature(label, cfg.duration_s, rate, cfg.seed))
-        if motion_mask[slot]:
+        script = seed = None
+        if motion_mask[slot]:  # trace and recording match: all run at rate_hz
             script = random_motion_script(
-                len(rec), rate, _child_seed(cfg.seed, "motion", slot),
+                len(test_traces[slot]), rate, _child_seed(cfg.seed, "motion", slot),
                 peak_rate_rad_s=(cfg.motion_peak_rate, cfg.motion_peak_rate * 1.5))
-            rec = render_recording(
-                pattern, profiles[j % len(profiles)], motion=script,
-                seed=_child_seed(cfg.seed, "motion-render", slot), label=label)
+            seed = _child_seed(cfg.seed, "motion-render", slot)
+        rec = _render_item(cfg, "cw", label, idx % cfg.traces_per_class,
+                           profiles=profiles, signature=signatures[label],
+                           motion=script, seed=seed)
+        if script is not None:
             test_traces[slot] = preprocess_recording(rec)
         flagged[slot] = is_disturbed(rec.gyro, cfg.motion_thresholds)
 

@@ -256,7 +256,13 @@ def perturb_pattern(cpu: CpuPattern, seed: int, *, start_jitter_s: float = 0.0,
 
 def _resampled_length(n_src: int, src_rate: float, dst_rate: float) -> int:
     """How many samples :func:`_resample_linear` makes of ``n_src`` at ``dst_rate``."""
-    return n_src if src_rate == dst_rate else max(1, round(n_src * dst_rate / src_rate))
+    if src_rate == dst_rate:
+        return n_src
+    n = n_src * dst_rate / src_rate
+    if math.isinf(n):
+        raise ValueError(f"rate_hz {dst_rate} resamples {n_src} samples at "
+                         f"{src_rate} Hz to an unbounded count")
+    return max(1, round(n))
 
 
 def _resample_linear(values: np.ndarray, src_rate: float, dst_rate: float) -> np.ndarray:

@@ -195,9 +195,9 @@ def test_criterion_09_determinism_and_round_trips(tmp_path):
     from magspy.experiments import _class_ids, _render_items
     items = list(_render_items(cfg, _class_ids("class", 2), 3,
                                cfg.resolved_profiles(), "cw"))
-    recordings = [rec for _, _, _, rec in items]
+    recordings = [rec for _, _, rec in items]
     traces = [m.preprocess_recording(rec) for rec in recordings]
-    labels = [label for label, _, _, _ in items]
+    labels = [label for label, _, _ in items]
     rec_path = tmp_path / "recs.jsonl"
     m.save_recordings(recordings, rec_path)
     loaded = m.load_recordings(rec_path)

@@ -474,6 +474,21 @@ class TestDetectCommand:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("window_s", ["inf", "nan", "0", "-1"])
+    def test_detect_with_model_rejects_a_window_without_features(self, tmp_path, capsys,
+                                                                 window_s):
+        # Checked before any peak is found: no peak clears this height.
+        data, ppath = self._event_streams(tmp_path, [1000])
+        model = write_model_doc(tmp_path / "model.json",
+                                tree_doc([-1], [None], [-1], [-1], [[1, 0]]))
+        out_dir = tmp_path / "det"
+        assert main(["detect", "--pattern", str(ppath), "--data", str(data),
+                     "--model", str(model), "--min-height", "1e9",
+                     "--min-prominence", "0", "--out", str(out_dir),
+                     "--window-s", window_s]) == 1
+        assert "window_s" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("flag", ["--motion-mean-threshold",
                                       "--motion-max-threshold"])
     def test_movement_eval_rejects_nan_motion_threshold(self, tmp_path, capsys,
@@ -491,7 +506,17 @@ class TestDetectCommand:
         assert flag[9:].replace("-", "_") in capsys.readouterr().err
         assert not out_dir.exists()
 
-    def test_simulate_with_motion_script(self, tmp_path, capsys):
+    def test_simulate_with_motion_script(self, tmp_path, capsys, monkeypatch):
+        # Each recording is rendered once, under the script.
+        import magspy.experiments as experiments
+        original = experiments.render_recording
+        scripts = []
+
+        def render(*args, **kwargs):
+            scripts.append(kwargs.get("motion"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "render_recording", render)
         config = write_config(tmp_path, class_count=2, traces_per_class=2)
         script = tmp_path / "motion.json"
         script.write_text(json.dumps({"rotation_events": [
@@ -503,6 +528,7 @@ class TestDetectCommand:
         assert rc == 0
         recs = load_recordings(sim_dir / "recordings.jsonl")
         assert all(np.linalg.norm(r.gyro, axis=1).max() > 1.9 for r in recs)
+        assert len(scripts) == len(recs) == 4 and None not in scripts
 
     def test_simulate_rejects_a_motion_event_over_pi_per_sample(self, tmp_path, capsys):
         # It used to overflow in the rotation, warn, then fail in math.sin(inf).
@@ -718,6 +744,7 @@ class TestExitCodes:
         ("config", f'{{{SMALL}, "scenario": "continuous", "stream_s": 2.5, '
          '"distractor_count": 1}'),
         ("config", f'{{{SMALL}, "scenario": "continuous", "stream_s": 1e5}}'),
+        ("device-profile", '{"snr_db": 12.0, "rate_hz": 1e306}'),
     ], ids=["nan-peak-rate", "fractional-start-index", "bool-start-index",
             "bool-duration", "bool-peak-rate", "nan-axis", "string-gain",
             "nan-noise-std", "bool-gain", "nan-coupling-dir", "inf-baseline-field",
@@ -731,7 +758,7 @@ class TestExitCodes:
             "one-sample-trace", "one-sample-at-profile-rate", "huge-profile-rate",
             "one-sample-sweep-rate", "no-calibration-cycles", "calibration-too-short",
             "noiseless-snr-profile", "empty-window", "embeds-overflow-stream",
-            "huge-stream"])
+            "huge-stream", "overflowing-profile-rate"])
     def test_bad_outside_document_is_validation_error(self, tmp_path, capsys,
                                                       monkeypatch, kind, doc):
         # Every document is read and checked before the first recording.
@@ -742,7 +769,6 @@ class TestExitCodes:
             raise AssertionError("rendered before the documents were checked")
 
         monkeypatch.setattr("magspy.experiments.render_recording", render)
-        monkeypatch.setattr("magspy.cli.render_recording", render)
         path = tmp_path / f"{kind}.json"
         path.write_text(doc)
         config = (str(path) if kind == "config"
@@ -891,7 +917,6 @@ class TestExitCodes:
             raise AssertionError("rendered before the config was checked")
 
         monkeypatch.setattr("magspy.experiments.render_recording", render)
-        monkeypatch.setattr("magspy.cli.render_recording", render)
         config = write_config(tmp_path, scenario="movement", class_count=3,
                               traces_per_class=4, duration_s=2.0, motion_peak_rate=1e308)
         out_dir = tmp_path / "out"
@@ -933,6 +958,20 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["detect"])  # missing required flags
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("command", [
+        ["classify", "--model", "model.json", "--data", "recs.jsonl"],
+        ["detect", "--pattern", "pattern.json", "--data", "recs.jsonl",
+         "--min-height", "0", "--min-prominence", "0"],
+    ], ids=["classify", "detect"])
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--config", "config.json"]],
+                             ids=["seed", "config"])
+    def test_classify_and_detect_take_no_config_or_seed(self, capsys, command, flag):
+        # Neither command reads a config, so neither flag would do anything.
+        with pytest.raises(SystemExit) as exc:
+            main(command + flag)
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     def test_train_rejects_ragged_label_before_writing(self, tmp_path, capsys):
         # One label's recordings last 6 s and 4 s, so no single activity

@@ -214,8 +214,8 @@ class TestClosedWorld:
         recs = []
         for seed in (0, 99):
             cfg = small_config(seed=seed)
-            _, _, _, rec = next(_render_items(cfg, _class_ids("class", 2), 1,
-                                              cfg.resolved_profiles(), "cw"))
+            _, _, rec = next(_render_items(cfg, _class_ids("class", 2), 1,
+                                           cfg.resolved_profiles(), "cw"))
             recs.append(rec)
         assert not np.array_equal(recs[0].mag, recs[1].mag)
 
@@ -390,35 +390,40 @@ class TestMovement:
 
     def test_test_recordings_are_the_ones_the_closed_world_reduced(self,
                                                                    monkeypatch):
-        # run_movement re-renders its stationary test recordings from their
-        # seeds; each must reduce to the trace the closed world classified.
+        # run_movement renders each test slot once more from its seeds, a
+        # motion slot's under its script; each stationary one must reduce to
+        # the trace the closed world classified.
         import magspy.experiments as experiments
         from magspy.experiments import _closed_world_core
         from magspy.preprocess import preprocess_recording
-        cfg = small_config(scenario="movement", motion_fraction=0.0,
-                           traces_per_class=10,
-                           device_profiles=(profile_for_snr(12.0),
-                                            profile_for_snr(15.0)))
-        seen = []
-        original = experiments._render_item
+        original = experiments.render_recording
+        for motion_fraction in (0.0, 0.25):
+            cfg = small_config(scenario="movement", motion_fraction=motion_fraction,
+                               traces_per_class=10,
+                               device_profiles=(profile_for_snr(12.0),
+                                                profile_for_snr(15.0)))
+            seen = []
 
-        def render(*args, **kwargs):
-            pattern, rec = original(*args, **kwargs)
-            seen.append(rec)
-            return pattern, rec
+            def render(*args, **kwargs):
+                rec = original(*args, **kwargs)
+                seen.append((kwargs.get("motion"), rec))
+                return rec
 
-        monkeypatch.setattr(experiments, "_render_item", render)
-        run_movement(cfg)
-        monkeypatch.undo()
-        core = _closed_world_core(cfg)
-        # The closed world renders every item, then the test items are
-        # re-rendered in test order.
-        rendered = cfg.class_count * cfg.traces_per_class
-        assert len(seen) == rendered + len(core.test_items)
-        for rec, (idx, label) in zip(seen[rendered:], core.test_items):
-            assert (rec.label, rec.device_id) == (label, f"device-{idx % 10 % 2}")
-            assert np.array_equal(preprocess_recording(rec).values,
-                                  core.traces[idx].values)
+            monkeypatch.setattr(experiments, "render_recording", render)
+            run_movement(cfg)
+            monkeypatch.undo()
+            core = _closed_world_core(cfg)
+            # The closed world renders every item, then each test item is
+            # rendered once more, in test order.
+            rendered = cfg.class_count * cfg.traces_per_class
+            assert len(seen) == rendered + len(core.test_items)
+            n_moving = sum(motion is not None for motion, _ in seen[rendered:])
+            assert n_moving == round(motion_fraction * len(core.test_items))
+            for (motion, rec), (idx, label) in zip(seen[rendered:], core.test_items):
+                assert (rec.label, rec.device_id) == (label, f"device-{idx % 10 % 2}")
+                if motion is None:
+                    assert np.array_equal(preprocess_recording(rec).values,
+                                          core.traces[idx].values)
 
     def test_zero_peak_rate_moves_nothing(self):
         cfg = small_config(scenario="movement", class_count=3, traces_per_class=4,
